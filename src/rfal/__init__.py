@@ -11,7 +11,6 @@ from .algebra import (
     LUKASIEWICZ,
     PRODUCT,
     Algebra,
-    Rational,
     as_unit_degree,
     decimal_expansion,
     format_degree,

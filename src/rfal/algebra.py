@@ -12,12 +12,13 @@ import enum
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_TEXT = re.compile(r"(?P<num>\d+)(?:/(?P<den>\d+)|\.(?P<dec>\d+))?\Z")
+# The degree literal `N`, `N/D` or `N.F`: the only definition of its grammar.
+_RATIONAL_TEXT = re.compile(r"(?P<num>\d+)(?:/(?P<den>\d+)|\.(?P<dec>\d+))?")
+
+MAX_DECIMAL_DIGITS = 50
 
 
 class Algebra(enum.Enum):
@@ -89,20 +90,27 @@ def as_unit_degree(value) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse `num/den` or a decimal literal exactly (0.7 becomes 7/10)."""
-    m = _RATIONAL_TEXT.match(text.strip())
+    literal = text.strip()
+    m = _RATIONAL_TEXT.fullmatch(literal)
     if m is None:
         raise ValueError(f"malformed rational literal: {text!r}")
-    if m["den"] is not None:
-        den = int(m["den"])
-        if den == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        q = Fraction(int(m["num"]), den)
-    elif m["dec"] is not None:
+    try:
+        return rational_from_match(m)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: {literal}") from None
+
+
+def rational_from_match(m: re.Match) -> Fraction:
+    """Degree of a `_RATIONAL_TEXT` match; ValueError when it names none."""
+    if m["dec"] is not None:
         q = Fraction(int(m["num"] + m["dec"]), 10 ** len(m["dec"]))
     else:
-        q = Fraction(int(m["num"]))
+        den = int(m["den"] or 1)
+        if den == 0:
+            raise ValueError("zero denominator")
+        q = Fraction(int(m["num"]), den)
     if q > 1:
-        raise ValueError(f"degree out of range [0, 1]: {text.strip()}")
+        raise ValueError("degree out of range [0, 1]")
     return q
 
 
@@ -125,13 +133,19 @@ def rational_from_json(obj) -> Fraction:
 
 
 def decimal_expansion(q: Fraction) -> str:
-    """Exact decimal form, with a repeating block in parentheses: 1/3 -> 0.(3)."""
+    """Exact decimal form, with a repeating block in parentheses: 1/3 -> 0.(3).
+
+    An expansion that needs more than MAX_DECIMAL_DIGITS digits after the
+    point is cut there and ends in `...`.
+    """
     whole, rem = divmod(q.numerator, q.denominator)
     if rem == 0:
         return str(whole)
     digits: list[str] = []
     seen: dict[int, int] = {}
     while rem and rem not in seen:
+        if len(digits) == MAX_DECIMAL_DIGITS:
+            return f"{whole}." + "".join(digits) + "..."
         seen[rem] = len(digits)
         digit, rem = divmod(rem * 10, q.denominator)
         digits.append(str(digit))

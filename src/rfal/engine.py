@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, tnorm
+from .algebra import Algebra, rational_to_json, tnorm
 from .lsets import FuzzySet, is_contained, subsethood
 from .logic import Evaluation, Implication, Theory
 
@@ -75,8 +75,7 @@ class ClosureTrace:
                 {
                     "evaluation": step.to_json(),
                     "firings": [
-                        {"rule": index, "degree": {"num": c.numerator, "den": c.denominator}}
-                        for index, c in firings
+                        {"rule": index, "degree": rational_to_json(c)} for index, c in firings
                     ],
                 }
                 for step, firings in zip(self.steps, self.firing_log)
@@ -118,7 +117,8 @@ def least_model(
     """Iterate closure steps from `e` until stationary or the cap is hit.
 
     For finite theories under Lukasiewicz or product the fixpoint is always
-    reached, and it is the least model of the theory containing `e`.
+    reached, and it is the least model of the theory containing `e`.  After
+    the cap-th productive step one more sweep decides whether it was the last.
     """
     steps: list[Evaluation] = []
     log: list[FiringLog] = []
@@ -127,11 +127,11 @@ def least_model(
         nxt, firings, changed = _apply(alg, theory, current)
         if not changed:
             return ClosureTrace(e, tuple(steps), tuple(log), True)
+        if len(steps) >= limits.max_iterations:
+            return ClosureTrace(e, tuple(steps), tuple(log), False)
         steps.append(nxt)
         log.append(firings)
         current = nxt
-        if len(steps) >= limits.max_iterations:
-            return ClosureTrace(e, tuple(steps), tuple(log), False)
 
 
 def provability_degree(

@@ -15,11 +15,12 @@ the whole family of weaker graded variants.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Algebra, ONE, residuum
-from .lsets import FuzzySet, check_var, scalar_multiple, subsethood
+from .algebra import _RATIONAL_TEXT, Algebra, ONE, rational_from_match, residuum
+from .lsets import _VAR_NAME, FuzzySet, scalar_multiple, subsethood
 
 Evaluation = FuzzySet
 
@@ -144,44 +145,23 @@ class _Scanner:
 
     def scan_name(self) -> str:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            return self.text[start : self.pos]
-        raise self.error("expected an identifier")
+        m = _VAR_NAME.match(self.text, self.pos)
+        if m is None:
+            raise self.error("expected an identifier")
+        self.pos = m.end()
+        return sys.intern(m[0])
 
     def scan_degree(self) -> Fraction:
         self.skip_ws()
-        start = self.pos
-        digits = self._scan_digits("expected a degree")
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            den_text = self._scan_digits("expected a denominator")
-            den = int(den_text)
-            if den == 0:
-                raise self.error("zero denominator", start)
-            value = Fraction(int(digits), den)
-        elif self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            frac = self._scan_digits("expected digits after the decimal point")
-            value = Fraction(int(digits + frac), 10 ** len(frac))
-        else:
-            value = Fraction(int(digits))
-        if value > 1:
-            raise self.error("degree out of range [0, 1]", start)
+        m = _RATIONAL_TEXT.match(self.text, self.pos)
+        if m is None:
+            raise self.error("expected a degree")
+        try:
+            value = rational_from_match(m)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+        self.pos = m.end()
         return value
-
-    def _scan_digits(self, message: str) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(message)
-        return self.text[start : self.pos]
 
 
 def _scan_set(sc: _Scanner) -> FuzzySet:
@@ -192,7 +172,7 @@ def _scan_set(sc: _Scanner) -> FuzzySet:
     while True:
         sc.skip_ws()
         name_pos = sc.pos
-        name = check_var(sc.scan_name())
+        name = sc.scan_name()
         if name in entries:
             raise sc.error(f"duplicate variable {name!r} in set literal", name_pos)
         sc.expect(":")
@@ -222,9 +202,28 @@ def _scan_rule(sc: _Scanner, algebra: Algebra) -> Implication:
     return _scan_implication(sc)
 
 
-def _strip_comment(raw: str) -> str:
-    cut = raw.find("#")
-    return raw if cut < 0 else raw[:cut]
+def _lines(text: str):
+    """A scanner for every line that is not blank after its `#` comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        sc = _Scanner(raw.partition("#")[0], line_no)
+        if not sc.at_end():
+            yield sc
+
+
+def _scan_header(sc: _Scanner) -> Algebra:
+    """The algebra named by an `algebra NAME` header line."""
+    keyword_pos = sc.pos
+    m = _VAR_NAME.match(sc.text, sc.pos)
+    if m is None or m[0] != "algebra":
+        raise sc.error("expected the 'algebra' header line", keyword_pos)
+    sc.pos = m.end()
+    name_pos = sc.pos
+    name = sc.scan_name()
+    if name not in _ALGEBRA_NAMES:
+        raise sc.error(f"unknown algebra name {name!r}", name_pos)
+    if not sc.at_end():
+        raise sc.error("unexpected text after the algebra header")
+    return _ALGEBRA_NAMES[name]
 
 
 def parse_theory(text: str, algebra_override: Algebra | None = None) -> Theory:
@@ -235,26 +234,10 @@ def parse_theory(text: str, algebra_override: Algebra | None = None) -> Theory:
     """
     algebra: Algebra | None = None
     rules: list[Implication] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        sc = _Scanner(line, line_no)
-        if sc.at_end():
-            continue
+    for sc in _lines(text):
         if algebra is None:
-            sc.skip_ws()
-            keyword_pos = sc.pos
-            if sc.peek() != "" and not (sc.peek().isalpha() or sc.peek() == "_"):
-                raise sc.error("expected the 'algebra' header line", keyword_pos)
-            keyword = sc.scan_name()
-            if keyword != "algebra":
-                raise sc.error("expected the 'algebra' header line", keyword_pos)
-            name_pos = sc.pos
-            name = sc.scan_name()
-            if name not in _ALGEBRA_NAMES:
-                raise sc.error(f"unknown algebra name {name!r}", name_pos)
-            if not sc.at_end():
-                raise sc.error("unexpected text after the algebra header")
-            algebra = algebra_override or _ALGEBRA_NAMES[name]
+            declared = _scan_header(sc)
+            algebra = algebra_override or declared
             continue
         rules.append(_scan_rule(sc, algebra))
         if not sc.at_end():
@@ -266,14 +249,11 @@ def parse_theory(text: str, algebra_override: Algebra | None = None) -> Theory:
 
 def file_header_algebra(text: str) -> str | None:
     """Name declared on the header line, or None; used for override warnings."""
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 2 and parts[0] == "algebra":
-            return parts[1]
-        return None
+    for sc in _lines(text):
+        try:
+            return _scan_header(sc).value
+        except ParseError:
+            break
     return None
 
 

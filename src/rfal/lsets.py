@@ -26,12 +26,13 @@ from .algebra import (
 
 VarId = str
 
-_VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The identifier rule: the only definition of its grammar.
+_VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def check_var(name) -> str:
     """Validate and intern a variable identifier."""
-    if not isinstance(name, str) or _VAR_NAME.match(name) is None:
+    if not isinstance(name, str) or _VAR_NAME.fullmatch(name) is None:
         raise ValueError(f"invalid variable name: {name!r}")
     return sys.intern(name)
 

@@ -71,11 +71,8 @@ class Proof:
     def to_json(self) -> dict:
         steps = []
         for step in self.steps:
-            obj: dict = {
-                "ante": step.formula.antecedent.to_json(),
-                "cons": step.formula.consequent.to_json(),
-                "rule": step.rule,
-            }
+            obj = step.formula.to_json()
+            obj["rule"] = step.rule
             if step.premises:
                 obj["premises"] = list(step.premises)
             if step.hyp_index is not None:
@@ -99,12 +96,10 @@ class Proof:
                 raise ValueError("theory_hash must be a string")
             steps = []
             for raw in obj["steps"]:
+                formula = Implication.from_json(raw)
                 rule = raw.get("rule")
                 if rule not in (AXIOM, HYP, CUT, MUL):
                     raise ValueError(f"unknown step rule: {rule!r}")
-                formula = Implication(
-                    FuzzySet.from_json(raw["ante"]), FuzzySet.from_json(raw["cons"])
-                )
                 premises = tuple(raw.get("premises", ()))
                 if not all(isinstance(i, int) and not isinstance(i, bool) for i in premises):
                     raise ValueError("premises must be integers")
@@ -117,7 +112,7 @@ class Proof:
                 steps.append(ProofStep(formula, rule, premises, hyp_index, scalar))
             conclusion = Implication.from_json(obj["conclusion"])
             return cls(digest, tuple(steps), conclusion)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ProofFormatError(f"malformed proof certificate: {exc}") from exc
 
     def dumps(self) -> str:
@@ -127,7 +122,7 @@ class Proof:
     def loads(cls, text: str) -> "Proof":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProofFormatError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_json(obj)
 

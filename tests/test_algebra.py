@@ -170,6 +170,7 @@ class TestDecimalExpansion:
             (Fraction(1), "1"),
             (Fraction(0), "0"),
             (Fraction(1, 7), "0.(142857)"),
+            (Fraction(1, 1000003), "0.00000099999700000899997300008099975700072899781300..."),
         ],
     )
     def test_known_expansions(self, value, expected):

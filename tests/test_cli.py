@@ -63,6 +63,19 @@ class TestDegree:
         assert code == 1
         assert "column" in err
 
+    @pytest.mark.parametrize(
+        "rule,column",
+        [("{p:²} => {}", 4), ("{é:1} => {}", 2), ("{p:1%s} => {}" % ("0" * 4300), 4)],
+        ids=["superscript-digit", "non-ascii-name", "over-int-limit"],
+    )
+    def test_lexical_errors_in_a_theory_are_positioned(self, capsys, tmp_path, rule, column):
+        path = tmp_path / "bad.rfal"
+        path.write_text(f"algebra lukasiewicz\n{rule}\n", encoding="utf-8")
+        code, _, err = run(capsys, "degree", "--theory", str(path), "{} => {}")
+        assert code == 1
+        assert f"line 2, column {column}:" in err
+        assert "Traceback" not in err
+
     def test_cap_exits_two(self, capsys, worked_file):
         code, out, err = run(
             capsys, "degree", "--theory", str(worked_file), "--max-iter", "1",

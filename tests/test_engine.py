@@ -112,6 +112,15 @@ class TestLeastModel:
         assert trace.iterations == 1
         assert is_contained(trace.final, fs(p="1", q="4/5", r="9/10"))
 
+    def test_fixpoint_on_the_capth_step_is_detected(self):
+        # p climbs 1/4, 1/2, 3/4, 1: the fourth productive step is the last
+        theory = Theory((imp({"p": "3/4"}, {"p": "1"}),), L)
+        for cap, reached in ((3, False), (4, True), (5, True)):
+            trace = least_model(L, theory, FuzzySet(), EngineLimits(cap))
+            assert trace.reached_fixpoint is reached
+            assert trace.iterations == min(cap, 4)
+        assert trace.final == fs(p="1")
+
     def test_firing_log_records_every_rule(self, worked_lukasiewicz):
         trace = least_model(L, worked_lukasiewicz, fs(p="1"))
         assert trace.firing_log[0] == ((0, Fraction(1)), (1, Fraction(2, 5)))

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from rfal import (
     Theory,
     is_model,
     parse_implication,
+    parse_rational,
     parse_set,
     parse_theory,
     serialize_theory,
@@ -202,12 +204,34 @@ def test_theory_name_is_not_part_of_equality():
     assert a == b
 
 
+# One digit past the int-string conversion limit, where the interpreter has one.
+LONG_DIGITS = max(getattr(sys, "get_int_max_str_digits", lambda: 0)(), 4300) + 1
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["", "-1/2", "1/0", "1.5", "2", "0.7.1", "0.", ".5", "²", "١/٢", "7/10", "0.125",
+     "0", "1", "02/4", pytest.param("0." + "3" * LONG_DIGITS, id="over-int-limit")],
+)
+def test_degree_literal_has_one_grammar(literal):
+    # the standalone parser and the set scanner accept the same literals
+    # with the same value, and the scanner's refusals carry a position
+    try:
+        expected = parse_rational(literal)
+    except ValueError:
+        with pytest.raises(ParseError) as err:
+            parse_set("{p:%s}" % literal)
+        assert err.value.column is not None
+    else:
+        assert parse_set("{p:%s}" % literal).degree("p") == expected
+
+
 def test_parser_never_crashes_on_garbage():
     # random mutations of a valid file either parse or raise ParseError with
     # a position; nothing else may escape
     rng = random.Random(24)
     base = "algebra lukasiewicz\n{p:1} => {q:0.8}\n({q:3/5} => {r:9/10}) @ 1/2\n"
-    alphabet = "{}(),:=>@/. abcdefgp0123456789\n#"
+    alphabet = "{}(),:=>@/. abcdefgp0123456789\n#²é١"
     for _ in range(500):
         text = list(base)
         for _ in range(rng.randint(1, 4)):

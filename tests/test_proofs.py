@@ -393,7 +393,11 @@ class TestProofJson:
 
     def test_malformed_certificates(self):
         for bad in ("not json", '{"theory_hash": 3, "steps": [], "conclusion": {}}',
-                    '{"steps": []}'):
+                    '{"steps": []}',
+                    '{"theory_hash": "x", "steps": [1], "conclusion": {}}',
+                    '{"theory_hash": "x", "steps": {"a": 1}, "conclusion": {}}',
+                    '{"theory_hash": "x", "steps": "xx", "conclusion": {}}',
+                    "[" * 100_000):
             with pytest.raises(ProofFormatError):
                 Proof.loads(bad)
 
