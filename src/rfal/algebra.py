@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
+import reprlib
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -19,6 +20,9 @@ ONE = Fraction(1)
 _RATIONAL_TEXT = re.compile(r"(?P<num>\d+)(?:/(?P<den>\d+)|\.(?P<dec>\d+))?")
 
 MAX_DECIMAL_DIGITS = 50
+
+# Longest echo of an offending input value in an error message.
+MAX_ECHO = 60
 
 
 class Algebra(enum.Enum):
@@ -114,21 +118,31 @@ def rational_from_match(m: re.Match) -> Fraction:
     return q
 
 
+def brief(value) -> str:
+    """Bounded `repr` of an untrusted value for an error message.
+
+    `reprlib` keeps the work small for deep or wide values; the result is
+    then cut to MAX_ECHO characters.
+    """
+    text = reprlib.repr(value)
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO - 3] + "..."
+
+
 def rational_to_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
 def rational_from_json(obj) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise ValueError(f"malformed rational object: {obj!r}")
+        raise ValueError(f"malformed rational object: {brief(obj)}")
     num, den = obj["num"], obj["den"]
     if not isinstance(num, int) or not isinstance(den, int) or isinstance(num, bool) or isinstance(den, bool):
-        raise ValueError(f"rational fields must be integers: {obj!r}")
+        raise ValueError(f"rational fields must be integers: {brief(obj)}")
     if den <= 0:
-        raise ValueError(f"nonpositive denominator: {obj!r}")
+        raise ValueError(f"nonpositive denominator: {brief(obj)}")
     q = Fraction(num, den)
     if q < 0 or q > 1:
-        raise ValueError(f"degree out of range [0, 1]: {q}")
+        raise ValueError(f"degree out of range [0, 1]: {brief(obj)}")
     return q
 
 

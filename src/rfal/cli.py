@@ -23,6 +23,7 @@ from pathlib import Path
 from .algebra import Algebra, format_degree, rational_to_json
 from .engine import (
     DEFAULT_LIMITS,
+    ClosureTrace,
     EngineLimits,
     UndecidedError,
     least_model,
@@ -160,6 +161,24 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _still_climbing(trace: ClosureTrace) -> str:
+    """The variables that rose in a capped trace's last step, with their rise.
+
+    At most three are named, in sorted order.  A rise whose denominator is too
+    long to print is described by its size.
+    """
+    before = trace.steps[-2] if len(trace.steps) > 1 else trace.start
+    rises = []
+    for var, degree in trace.final.items():
+        rise = degree - before.degree(var)
+        if rise:
+            bits = rise.denominator.bit_length()
+            text = str(rise) if bits <= 192 else f"(a fraction with a {bits}-bit denominator)"
+            rises.append(f"{var} +{text} per step")
+    more = f" and {len(rises) - 3} more" if len(rises) > 3 else ""
+    return "still climbing: " + ", ".join(rises[:3]) + more
+
+
 def _cmd_degree(args) -> int:
     theory = _load_theory(args)
     query = parse_implication(args.query)
@@ -179,8 +198,8 @@ def _cmd_degree(args) -> int:
         ]
         _emit(args, "\n".join(lines))
     if not trace.reached_fixpoint:
-        print("warning: iteration cap reached; the degree is a lower bound only",
-              file=sys.stderr)
+        print("warning: iteration cap reached; the degree is a lower bound only; "
+              + _still_climbing(trace), file=sys.stderr)
         return EXIT_LOWER_BOUND
     return EXIT_OK
 
@@ -206,8 +225,8 @@ def _cmd_closure(args) -> int:
         ]
         _emit(args, "\n".join(lines))
     if not trace.reached_fixpoint:
-        print("warning: iteration cap reached; the closure is a lower approximation",
-              file=sys.stderr)
+        print("warning: iteration cap reached; the closure is a lower bound only; "
+              + _still_climbing(trace), file=sys.stderr)
         return EXIT_LOWER_BOUND
     return EXIT_OK
 
@@ -218,7 +237,7 @@ def _cmd_prove(args) -> int:
     degree, trace = provability_degree(theory.algebra, theory, query, _limits(args))
     if not trace.reached_fixpoint:
         print("refusing to certify: iteration cap reached without a fixpoint, "
-              "so the degree is only a lower bound", file=sys.stderr)
+              "so the degree is only a lower bound; " + _still_climbing(trace), file=sys.stderr)
         return EXIT_LOWER_BOUND
     proof = synthesize_proof(theory.algebra, theory, query, trace)
     _emit(args, proof.dumps())
@@ -265,8 +284,8 @@ def _cmd_oracle(args) -> int:
     if args.samples is not None:
         engine_degree, trace = provability_degree(theory.algebra, theory, query, limits)
         if not trace.reached_fixpoint:
-            print("warning: engine hit the iteration cap; sampling against a lower bound",
-                  file=sys.stderr)
+            print("warning: engine hit the iteration cap; sampling against a lower bound; "
+                  + _still_climbing(trace), file=sys.stderr)
         sampled = sample_models(theory.algebra, theory, query.antecedent,
                                 args.samples, args.seed, limits=limits)
         truths = [truth_degree(theory.algebra, query, e) for e in sampled.models]

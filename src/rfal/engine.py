@@ -1,9 +1,16 @@
 """Least-model fixpoint computation and provability degrees.
 
-Each step fires every rule simultaneously against the same input evaluation
+Each step fires the rules simultaneously against the same input evaluation
 and joins the scaled consequents onto it, so the evaluations form an
 inclusion-increasing chain.  Fixpoint detection is exact equality of
 consecutive evaluations; there are no tolerances anywhere.
+
+The loop is semi-naive.  A rule's firing degree changes only when a variable
+of its antecedent changed, so after the first step, which fires every rule,
+a step re-fires only the rules that watch a variable raised by the step
+before; every other rule keeps its cached degree, and its scaled consequent
+is already joined into the evaluation.  The evaluations and the (dense)
+firing log are exactly those of firing every rule at every step.
 
 Only variables occurring in the theory or the start evaluation can ever gain
 a degree, and zero membership is represented by absence, so no explicit
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .algebra import Algebra, rational_to_json, tnorm
 from .lsets import FuzzySet, is_contained, subsethood
@@ -85,27 +93,42 @@ class ClosureTrace:
         }
 
 
-def _apply(alg: Algebra, theory: Theory, e: Evaluation) -> tuple[Evaluation, FiringLog, bool]:
-    merged = dict(e.items())
-    changed = False
-    firings = []
-    for index, rule in enumerate(theory.rules):
-        c = subsethood(alg, rule.antecedent, e)
-        firings.append((index, c))
-        if c == 0:
-            continue
-        for var, degree in rule.consequent.items():
-            value = tnorm(alg, c, degree)
-            if value > merged.get(var, 0):
-                merged[var] = value
-                changed = True
-    result = FuzzySet._raw(merged) if changed else e
-    return result, tuple(firings), changed
+def _steps(alg: Algebra, theory: Theory, e: Evaluation) -> Iterator[tuple[Evaluation, FiringLog]]:
+    """The productive steps from `e`, each with the degree of every rule."""
+    rules = theory.rules
+    watchers: dict[str, list[int]] = {}
+    for index, rule in enumerate(rules):
+        for var in rule.antecedent.support():
+            watchers.setdefault(var, []).append(index)
+    firings: list = [None] * len(rules)  # every slot is set by the first sweep
+    due: Iterable[int] = range(len(rules))
+    current = e
+    while True:
+        merged = dict(current.items())
+        raised = set()
+        for index in due:
+            rule = rules[index]
+            c = subsethood(alg, rule.antecedent, current)
+            firings[index] = (index, c)
+            if c == 0:
+                continue
+            for var, degree in rule.consequent.items():
+                value = tnorm(alg, c, degree)
+                if value > merged.get(var, 0):
+                    merged[var] = value
+                    raised.add(var)
+        if not raised:
+            return
+        current = FuzzySet._raw(merged)
+        yield current, tuple(firings)
+        due = sorted({index for var in raised for index in watchers.get(var, ())})
 
 
 def closure_step(alg: Algebra, theory: Theory, e: Evaluation) -> Evaluation:
     """One simultaneous application of all rules: e joined with every S(A,e)*B."""
-    return _apply(alg, theory, e)[0]
+    for evaluation, _ in _steps(alg, theory, e):
+        return evaluation
+    return e
 
 
 def least_model(
@@ -122,16 +145,12 @@ def least_model(
     """
     steps: list[Evaluation] = []
     log: list[FiringLog] = []
-    current = e
-    while True:
-        nxt, firings, changed = _apply(alg, theory, current)
-        if not changed:
-            return ClosureTrace(e, tuple(steps), tuple(log), True)
+    for evaluation, firings in _steps(alg, theory, e):
         if len(steps) >= limits.max_iterations:
             return ClosureTrace(e, tuple(steps), tuple(log), False)
-        steps.append(nxt)
+        steps.append(evaluation)
         log.append(firings)
-        current = nxt
+    return ClosureTrace(e, tuple(steps), tuple(log), True)
 
 
 def provability_degree(

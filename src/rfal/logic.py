@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import _RATIONAL_TEXT, Algebra, ONE, rational_from_match, residuum
+from .algebra import _RATIONAL_TEXT, Algebra, ONE, brief, rational_from_match, residuum
 from .lsets import _VAR_NAME, FuzzySet, scalar_multiple, subsethood
 
 Evaluation = FuzzySet
@@ -55,7 +55,7 @@ class Implication:
     @classmethod
     def from_json(cls, obj) -> "Implication":
         if not isinstance(obj, dict) or "ante" not in obj or "cons" not in obj:
-            raise ValueError(f"malformed implication object: {obj!r}")
+            raise ValueError(f"malformed implication object: {brief(obj)}")
         return cls(FuzzySet.from_json(obj["ante"]), FuzzySet.from_json(obj["cons"]))
 
     def __str__(self) -> str:

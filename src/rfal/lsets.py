@@ -18,6 +18,7 @@ from .algebra import (
     ONE,
     ZERO,
     as_unit_degree,
+    brief,
     rational_from_json,
     rational_to_json,
     residuum,
@@ -33,7 +34,7 @@ _VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 def check_var(name) -> str:
     """Validate and intern a variable identifier."""
     if not isinstance(name, str) or _VAR_NAME.fullmatch(name) is None:
-        raise ValueError(f"invalid variable name: {name!r}")
+        raise ValueError(f"invalid variable name: {brief(name)}")
     return sys.intern(name)
 
 
@@ -114,7 +115,7 @@ class FuzzySet:
     @classmethod
     def from_json(cls, obj) -> "FuzzySet":
         if not isinstance(obj, dict):
-            raise ValueError(f"malformed fuzzy-set object: {obj!r}")
+            raise ValueError(f"malformed fuzzy-set object: {brief(obj)}")
         return cls({var: rational_from_json(value) for var, value in obj.items()})
 
 

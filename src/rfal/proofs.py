@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, as_unit_degree, rational_from_json, rational_to_json
+from .algebra import Algebra, as_unit_degree, brief, rational_from_json, rational_to_json
 from .engine import ClosureTrace
 from .lsets import FuzzySet, is_contained, scalar_multiple, subsethood, union
 from .logic import Implication, Theory, serialize_theory
@@ -99,7 +99,7 @@ class Proof:
                 formula = Implication.from_json(raw)
                 rule = raw.get("rule")
                 if rule not in (AXIOM, HYP, CUT, MUL):
-                    raise ValueError(f"unknown step rule: {rule!r}")
+                    raise ValueError(f"unknown step rule: {brief(rule)}")
                 premises = tuple(raw.get("premises", ()))
                 if not all(isinstance(i, int) and not isinstance(i, bool) for i in premises):
                     raise ValueError("premises must be integers")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("deterministic")
+
+# A step whose antecedent is a list nested 900 deep (still within the JSON
+# decoder's recursion limit under the test runner), and a degree object with
+# one extra 3,000-character field: neither may be echoed whole.
+DEEP_ANTE_CERTIFICATE = json.dumps(
+    {"theory_hash": "x", "steps": [{"ante": "@", "cons": {}, "rule": "axiom"}], "conclusion": {}}
+).replace('"@"', "[" * 900 + "]" * 900)
+PADDED_RATIONAL_CERTIFICATE = json.dumps(
+    {
+        "theory_hash": "x",
+        "steps": [{"ante": {"p": {"num": 1, "den": 2, "pad": "x" * 3000}}, "cons": {}, "rule": "axiom"}],
+        "conclusion": {},
+    }
+)
 
 
 def fs(entries=None, **kwargs):

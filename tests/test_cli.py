@@ -7,6 +7,8 @@ import pytest
 
 from rfal.cli import main
 
+from conftest import DEEP_ANTE_CERTIFICATE, PADDED_RATIONAL_CERTIFICATE
+
 WORKED = "algebra lukasiewicz\n{p:1} => {q:0.8}\n{q:3/5} => {r:9/10}\n"
 PRODUCT = "algebra product\n{p:1/2} => {q:4/5}\n"
 
@@ -76,14 +78,21 @@ class TestDegree:
         assert f"line 2, column {column}:" in err
         assert "Traceback" not in err
 
-    def test_cap_exits_two(self, capsys, worked_file):
+    def test_cap_exits_two(self, capsys, worked_file, tmp_path):
         code, out, err = run(
             capsys, "degree", "--theory", str(worked_file), "--max-iter", "1",
             "{p:1} => {r:1}",
         )
         assert code == 2
         assert "lower bound" in err
+        assert "still climbing: q +4/5 per step, r +3/10 per step" in err
         assert "fixpoint: no" in out
+        # the rise is read off the last two recorded steps
+        path = tmp_path / "ascent.rfal"
+        path.write_text("algebra lukasiewicz\n{} => {p:1/10001}\n{p:10000/10001} => {p:1}\n")
+        code, _, err = run(capsys, "degree", "--theory", str(path), "--max-iter", "3", "{} => {p:1}")
+        assert code == 2
+        assert "still climbing: p +1/10001 per step\n" in err
 
     def test_env_var_mirrors_max_iter(self, capsys, worked_file, monkeypatch):
         monkeypatch.setenv("RFAL_MAX_ITER", "1")
@@ -148,6 +157,18 @@ class TestClosure:
         ]
 
 
+    def test_cap_warning_names_at_most_three_variables(self, capsys, tmp_path):
+        path = tmp_path / "wide.rfal"
+        path.write_text("algebra lukasiewicz\n{} => {d:1/2, c:1/2, b:1/2, a:1/2}\n{a:1/2} => {e:1}\n")
+        code, out, err = run(capsys, "closure", "--theory", str(path), "--max-iter", "1", "{}")
+        assert code == 2
+        assert out.splitlines()[0] == "closure: {a:1/2, b:1/2, c:1/2, d:1/2, e:1/2}"
+        assert err == (
+            "warning: iteration cap reached; the closure is a lower bound only; still climbing: "
+            "a +1/2 per step, b +1/2 per step, c +1/2 per step and 2 more\n"
+        )
+
+
 class TestProveAndCheck:
     def test_round_trip(self, capsys, worked_file, tmp_path):
         cert = tmp_path / "proof.json"
@@ -192,13 +213,21 @@ class TestProveAndCheck:
         )
         assert code == 2
         assert "refusing to certify" in err
+        assert "lower bound; still climbing: q +4/5 per step, r +3/10 per step" in err
 
     def test_malformed_certificate_exits_one(self, capsys, worked_file, tmp_path):
         cert = tmp_path / "broken.json"
-        cert.write_text("{not json")
-        code, _, err = run(capsys, "check-proof", "--theory", str(worked_file), str(cert))
-        assert code == 1
-        assert err
+        for text, message in (
+            ("{not json", "certificate is not valid JSON"),
+            (DEEP_ANTE_CERTIFICATE, "malformed fuzzy-set object: [[["),
+            (PADDED_RATIONAL_CERTIFICATE, "malformed rational object: {"),
+        ):
+            cert.write_text(text)
+            code, _, err = run(capsys, "check-proof", "--theory", str(worked_file), str(cert))
+            assert code == 1
+            assert message in err
+            assert "Traceback" not in err
+            assert all(len(line.encode()) < 300 for line in err.splitlines())
 
 
 class TestOracle:

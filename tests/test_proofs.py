@@ -36,7 +36,7 @@ from rfal.proofs import (
 )
 from rfal.oracle import random_evaluation, random_implication, random_theory, sample_models
 
-from conftest import fs, imp
+from conftest import DEEP_ANTE_CERTIFICATE, PADDED_RATIONAL_CERTIFICATE, fs, imp
 
 L, P = Algebra.LUKASIEWICZ, Algebra.PRODUCT
 
@@ -397,9 +397,10 @@ class TestProofJson:
                     '{"theory_hash": "x", "steps": [1], "conclusion": {}}',
                     '{"theory_hash": "x", "steps": {"a": 1}, "conclusion": {}}',
                     '{"theory_hash": "x", "steps": "xx", "conclusion": {}}',
-                    "[" * 100_000):
-            with pytest.raises(ProofFormatError):
+                    "[" * 100_000, DEEP_ANTE_CERTIFICATE, PADDED_RATIONAL_CERTIFICATE):
+            with pytest.raises(ProofFormatError) as caught:
                 Proof.loads(bad)
+            assert len(str(caught.value)) < 300
 
 
 def test_theory_hash_tracks_content(worked_lukasiewicz, worked_product):
