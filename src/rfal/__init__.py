@@ -33,9 +33,7 @@ from .engine import (
     provability_degree,
 )
 from .lsets import (
-    EMPTY,
     FuzzySet,
-    VarId,
     intersect,
     is_contained,
     scalar_multiple,

@@ -25,8 +25,6 @@ from .algebra import (
     tnorm,
 )
 
-VarId = str
-
 # The identifier rule: the only definition of its grammar.
 _VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -117,9 +115,6 @@ class FuzzySet:
         if not isinstance(obj, dict):
             raise ValueError(f"malformed fuzzy-set object: {brief(obj)}")
         return cls({var: rational_from_json(value) for var, value in obj.items()})
-
-
-EMPTY = FuzzySet()
 
 
 def union(*sets: FuzzySet) -> FuzzySet:

@@ -6,18 +6,29 @@ The deductive system has one axiom scheme and two rules:
   cut    from A => B and B|C => D infer A|C => D   (| is fuzzy-set union)
   mul    from A => B infer cA => cB for a rational scalar c
 
-The checker is the minimal trusted core: it accepts only these primitive
-steps, recomputing every set operation exactly.  Derived rules (projectivity,
-additivity) exist only as expansion macros inside the synthesizer, which turns
-an engine trace into a certificate of `A => c*B` with c the provability
-degree.
+The checker is the minimal trusted core.  `derive` is the only definition of
+what each primitive step infers, with every set operation recomputed exactly;
+`check_proof` and `ProofBuilder` both go through it, so the builder cannot
+emit a step that the checker rejects.
+
+A certificate stores only what the checker cannot derive.  Axiom steps carry
+their formula (`ante`, `cons`); `hyp`, `cut` and `mul` steps carry only
+`rule`, `premises`, `hyp_index` and `scalar`.  A derived step may still state
+its formula, as older certificates do; the stated formula must then equal the
+derived one.  The certificate's `conclusion` must equal the last derived
+formula.
+
+Derived rules (projectivity, additivity) exist only as expansion macros inside
+the synthesizer, which turns an engine trace into a certificate of `A => c*B`
+with c the provability degree.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import Algebra, as_unit_degree, brief, rational_from_json, rational_to_json
@@ -36,6 +47,7 @@ BAD_CUT = "BAD_CUT"
 BAD_MUL = "BAD_MUL"
 BAD_INDEX = "BAD_INDEX"
 HASH_MISMATCH = "HASH_MISMATCH"
+BAD_CONCLUSION = "BAD_CONCLUSION"
 
 
 class ProofFormatError(ValueError):
@@ -48,7 +60,7 @@ class SynthesisError(ValueError):
 
 @dataclass(frozen=True)
 class ProofStep:
-    formula: Implication
+    formula: Implication | None  # None: a derived step that states no formula
     rule: str
     premises: tuple[int, ...] = ()
     hyp_index: int | None = None
@@ -65,13 +77,13 @@ class Proof:
         object.__setattr__(self, "steps", tuple(self.steps))
         if not self.steps:
             raise ValueError("a proof must contain at least one step")
-        if self.steps[-1].formula != self.conclusion:
+        if self.steps[-1].formula not in (None, self.conclusion):
             raise ValueError("the conclusion must equal the last step's formula")
 
     def to_json(self) -> dict:
         steps = []
         for step in self.steps:
-            obj = step.formula.to_json()
+            obj = step.formula.to_json() if step.rule == AXIOM else {}
             obj["rule"] = step.rule
             if step.premises:
                 obj["premises"] = list(step.premises)
@@ -96,10 +108,13 @@ class Proof:
                 raise ValueError("theory_hash must be a string")
             steps = []
             for raw in obj["steps"]:
-                formula = Implication.from_json(raw)
+                if not isinstance(raw, dict):
+                    raise ValueError(f"malformed step object: {brief(raw)}")
                 rule = raw.get("rule")
                 if rule not in (AXIOM, HYP, CUT, MUL):
                     raise ValueError(f"unknown step rule: {brief(rule)}")
+                stated = rule == AXIOM or "ante" in raw or "cons" in raw
+                formula = Implication.from_json(raw) if stated else None
                 premises = tuple(raw.get("premises", ()))
                 if not all(isinstance(i, int) and not isinstance(i, bool) for i in premises):
                     raise ValueError("premises must be integers")
@@ -121,10 +136,22 @@ class Proof:
     @classmethod
     def loads(cls, text: str) -> "Proof":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise ProofFormatError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_json(obj)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a repeated key is refused, not silently overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {brief(key)}")
+            seen.add(key)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -162,104 +189,107 @@ def cut_conclusion(first: Implication, second: Implication) -> Implication | Non
     return Implication(union(first.antecedent, FuzzySet._raw(cover)), second.consequent)
 
 
-def _check_step(alg: Algebra, theory: Theory, steps: tuple[ProofStep, ...], index: int) -> str | None:
-    step = steps[index]
+def derive(
+    alg: Algebra, theory: Theory, earlier: Sequence[Implication], step: ProofStep
+) -> Implication | str:
+    """The formula that `step` derives from the earlier formulas, or its reject reason.
+
+    This is the only definition of the primitive rules: the checker and the
+    builder both call it.  An axiom states its formula; a derived step may
+    state one too, and must then state exactly the derived formula.
+    """
     if step.rule == AXIOM:
-        if not is_contained(step.formula.consequent, step.formula.antecedent):
+        if step.formula is None or not is_contained(step.formula.consequent, step.formula.antecedent):
             return BAD_AXIOM
-        return None
+        return step.formula
     if step.rule == HYP:
         k = step.hyp_index
         if k is None or not 0 <= k < len(theory.rules):
             return BAD_INDEX
-        if step.formula != theory.rules[k]:
-            return NOT_IN_THEORY
-        return None
-    if step.rule == CUT:
-        if len(step.premises) != 2 or not all(0 <= i < index for i in step.premises):
+        derived, mismatch = theory.rules[k], NOT_IN_THEORY
+    elif step.rule == CUT:
+        if len(step.premises) != 2 or not all(0 <= i < len(earlier) for i in step.premises):
             return BAD_INDEX
         i, j = step.premises
-        expected = cut_conclusion(steps[i].formula, steps[j].formula)
-        if expected is None or expected != step.formula:
+        derived, mismatch = cut_conclusion(earlier[i], earlier[j]), BAD_CUT
+        if derived is None:
             return BAD_CUT
-        return None
-    if step.rule == MUL:
-        if len(step.premises) != 1 or not 0 <= step.premises[0] < index:
+    elif step.rule == MUL:
+        if len(step.premises) != 1 or not 0 <= step.premises[0] < len(earlier):
             return BAD_INDEX
-        if step.scalar is None:
-            return BAD_MUL
         try:
             c = as_unit_degree(step.scalar)
         except (TypeError, ValueError):
             return BAD_MUL
-        premise = steps[step.premises[0]].formula
-        expected = Implication(
+        premise = earlier[step.premises[0]]
+        derived, mismatch = Implication(
             scalar_multiple(alg, c, premise.antecedent),
             scalar_multiple(alg, c, premise.consequent),
-        )
-        if expected != step.formula:
-            return BAD_MUL
-        return None
-    return BAD_INDEX
+        ), BAD_MUL
+    else:
+        return BAD_INDEX
+    if step.formula is not None and step.formula != derived:
+        return mismatch
+    return derived
 
 
 def check_proof(alg: Algebra, theory: Theory, proof: Proof) -> Verdict:
-    """ACCEPT iff every step is a valid primitive inference over the theory."""
+    """ACCEPT iff every step is a valid primitive inference over the theory
+    and the last one derives the stated conclusion."""
     if proof.theory_hash != theory_hash(theory):
         return Verdict(False, None, HASH_MISMATCH)
-    for index in range(len(proof.steps)):
-        reason = _check_step(alg, theory, proof.steps, index)
-        if reason is not None:
-            return Verdict(False, index, reason)
+    formulas: list[Implication] = []
+    for index, step in enumerate(proof.steps):
+        derived = derive(alg, theory, formulas, step)
+        if isinstance(derived, str):
+            return Verdict(False, index, derived)
+        formulas.append(derived)
+    if formulas[-1] != proof.conclusion:
+        return Verdict(False, len(formulas) - 1, BAD_CONCLUSION)
     return ACCEPT
 
 
 class ProofBuilder:
-    """Append-only builder whose primitives mirror the checker exactly.
+    """Append-only builder: every step goes through `derive`, as in the checker.
 
-    Identical steps are deduplicated, so reusing a hypothesis or an axiom
-    costs nothing.
+    Steps keep their derived formula in memory.  Identical steps are
+    deduplicated, so reusing a hypothesis or an axiom costs nothing.
     """
 
     def __init__(self, alg: Algebra, theory: Theory):
         self._alg = alg
         self._theory = theory
         self._steps: list[ProofStep] = []
+        self._formulas: list[Implication] = []
         self._index: dict[ProofStep, int] = {}
 
     def _push(self, step: ProofStep) -> int:
         found = self._index.get(step)
         if found is not None:
             return found
-        self._steps.append(step)
+        derived = derive(self._alg, self._theory, self._formulas, step)
+        if isinstance(derived, str):
+            raise SynthesisError(f"the checker would reject this {step.rule} step: {derived}")
+        self._steps.append(replace(step, formula=derived))
+        self._formulas.append(derived)
         index = len(self._steps) - 1
         self._index[step] = index
         return index
 
     def formula(self, index: int) -> Implication:
-        return self._steps[index].formula
+        return self._formulas[index]
 
     def axiom(self, antecedent: FuzzySet, consequent: FuzzySet) -> int:
-        if not is_contained(consequent, antecedent):
-            raise SynthesisError(f"not an axiom instance: {consequent} is not contained in {antecedent}")
         return self._push(ProofStep(Implication(antecedent, consequent), AXIOM))
 
     def hypothesis(self, rule_index: int) -> int:
-        return self._push(ProofStep(self._theory.rules[rule_index], HYP, hyp_index=rule_index))
+        return self._push(ProofStep(None, HYP, hyp_index=rule_index))
 
     def mul(self, premise: int, scalar: Fraction) -> int:
-        base = self.formula(premise)
-        scaled = Implication(
-            scalar_multiple(self._alg, scalar, base.antecedent),
-            scalar_multiple(self._alg, scalar, base.consequent),
-        )
-        return self._push(ProofStep(scaled, MUL, (premise,), scalar=scalar))
+        return self._push(ProofStep(None, MUL, (premise,), scalar=scalar))
 
     def cut(self, first: int, second: int) -> int:
-        conclusion = cut_conclusion(self.formula(first), self.formula(second))
-        if conclusion is None:
-            raise SynthesisError("cut premises do not chain")
-        return self._push(ProofStep(conclusion, CUT, (first, second)))
+        return self._push(ProofStep(None, CUT, (first, second)))
 
     def union_of(self, first: int, second: int) -> int:
         """Additivity macro: from X => Y and X => Z derive X => Y|Z.
@@ -281,7 +311,7 @@ class ProofBuilder:
     def build(self) -> Proof:
         if not self._steps:
             raise SynthesisError("no steps have been added")
-        return Proof(theory_hash(self._theory), tuple(self._steps), self._steps[-1].formula)
+        return Proof(theory_hash(self._theory), tuple(self._steps), self._formulas[-1])
 
 
 def synthesize_proof(

@@ -28,6 +28,14 @@ PADDED_RATIONAL_CERTIFICATE = json.dumps(
     }
 )
 
+# A well-formed one-axiom certificate, except that its antecedent names p
+# twice: read naively, the second degree would silently win.
+DUPLICATE_KEY_CERTIFICATE = (
+    '{"theory_hash": "x", "steps": [{"ante": {"p": {"num": 1, "den": 2}, '
+    '"p": {"num": 1, "den": 3}}, "cons": {}, "rule": "axiom"}], '
+    '"conclusion": {"ante": {"p": {"num": 1, "den": 3}}, "cons": {}}}'
+)
+
 
 def fs(entries=None, **kwargs):
     """Build a fuzzy set from string degrees: fs(p='1/2', q='1')."""

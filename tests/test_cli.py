@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from rfal import parse_implication, parse_theory, provability_degree, synthesize_proof
+from rfal.algebra import rational_from_json, rational_to_json
 from rfal.cli import main
 
-from conftest import DEEP_ANTE_CERTIFICATE, PADDED_RATIONAL_CERTIFICATE
+from conftest import DEEP_ANTE_CERTIFICATE, DUPLICATE_KEY_CERTIFICATE, PADDED_RATIONAL_CERTIFICATE
 
 WORKED = "algebra lukasiewicz\n{p:1} => {q:0.8}\n{q:3/5} => {r:9/10}\n"
 PRODUCT = "algebra product\n{p:1/2} => {q:4/5}\n"
@@ -193,8 +195,10 @@ class TestProveAndCheck:
                 break
         cert.write_text(json.dumps(obj))
         code, out, _ = run(capsys, "check-proof", "--theory", str(worked_file), str(cert))
+        # the mul step states no formula, so the wrong scalar surfaces at
+        # the cut that uses its result
         assert code == 3
-        assert "BAD_MUL" in out
+        assert out.strip() == "REJECT at step 3: BAD_CUT"
 
     def test_check_json_verdict(self, capsys, worked_file, tmp_path):
         cert = tmp_path / "proof.json"
@@ -221,6 +225,7 @@ class TestProveAndCheck:
             ("{not json", "certificate is not valid JSON"),
             (DEEP_ANTE_CERTIFICATE, "malformed fuzzy-set object: [[["),
             (PADDED_RATIONAL_CERTIFICATE, "malformed rational object: {"),
+            (DUPLICATE_KEY_CERTIFICATE, "duplicate key 'p'"),
         ):
             cert.write_text(text)
             code, _, err = run(capsys, "check-proof", "--theory", str(worked_file), str(cert))
@@ -228,6 +233,74 @@ class TestProveAndCheck:
             assert message in err
             assert "Traceback" not in err
             assert all(len(line.encode()) < 300 for line in err.splitlines())
+
+
+class TestCertificateWireFormat:
+    """Derived steps may omit their formula; a stated one must be the derived one."""
+
+    QUERY = "{p:1} => {r:1}"
+
+    def _prove(self, capsys, worked_file, tmp_path):
+        cert = tmp_path / "proof.json"
+        code, _, _ = run(capsys, "prove", "--theory", str(worked_file), "--output", str(cert),
+                         self.QUERY)
+        assert code == 0
+        return cert, json.loads(cert.read_text())
+
+    def _check(self, capsys, worked_file, cert, obj):
+        cert.write_text(json.dumps(obj))
+        return run(capsys, "check-proof", "--theory", str(worked_file), str(cert))
+
+    @classmethod
+    def _full_format(cls, obj):
+        """The certificate with every step stating its formula, as older
+        certificates do."""
+        theory = parse_theory(WORKED)
+        query = parse_implication(cls.QUERY)
+        _, trace = provability_degree(theory.algebra, theory, query)
+        proof = synthesize_proof(theory.algebra, theory, query, trace)
+        steps = [{**s.formula.to_json(), **wire} for s, wire in zip(proof.steps, obj["steps"])]
+        return {**obj, "steps": steps}
+
+    def test_full_format_certificate_is_accepted(self, capsys, worked_file, tmp_path):
+        cert, obj = self._prove(capsys, worked_file, tmp_path)
+        full = self._full_format(obj)
+        assert all("ante" in step and "cons" in step for step in full["steps"])
+        code, out, _ = self._check(capsys, worked_file, cert, full)
+        assert (code, out.strip()) == (0, "ACCEPT")
+
+    @pytest.mark.parametrize("rule, reason", [
+        ("hyp", "NOT_IN_THEORY"), ("mul", "BAD_MUL"), ("cut", "BAD_CUT"),
+    ])
+    def test_tampered_stated_formula_is_rejected_at_its_step(
+        self, capsys, worked_file, tmp_path, rule, reason
+    ):
+        cert, obj = self._prove(capsys, worked_file, tmp_path)
+        full = self._full_format(obj)
+        index, step = next(
+            (i, s) for i, s in enumerate(full["steps"]) if s["rule"] == rule and s["cons"]
+        )
+        var = next(iter(step["cons"]))
+        step["cons"][var] = rational_to_json(rational_from_json(step["cons"][var]) / 2)
+        code, out, _ = self._check(capsys, worked_file, cert, full)
+        assert (code, out.strip()) == (3, f"REJECT at step {index}: {reason}")
+
+    def test_raised_conclusion_is_rejected(self, capsys, worked_file, tmp_path):
+        cert, obj = self._prove(capsys, worked_file, tmp_path)
+        assert obj["conclusion"]["cons"] == {"r": {"num": 9, "den": 10}}
+        obj["conclusion"]["cons"]["r"] = {"num": 1, "den": 1}
+        code, out, _ = self._check(capsys, worked_file, cert, obj)
+        last = len(obj["steps"]) - 1
+        assert (code, out.strip()) == (3, f"REJECT at step {last}: BAD_CONCLUSION")
+
+    def test_axiom_without_formula_exits_one(self, capsys, worked_file, tmp_path):
+        cert, obj = self._prove(capsys, worked_file, tmp_path)
+        axiom = next(s for s in obj["steps"] if s["rule"] == "axiom")
+        del axiom["ante"], axiom["cons"]
+        code, _, err = self._check(capsys, worked_file, cert, obj)
+        assert code == 1
+        assert "malformed implication object" in err
+        assert "Traceback" not in err
 
 
 class TestOracle:
