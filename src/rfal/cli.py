@@ -43,11 +43,10 @@ from .lsets import FuzzySet
 from .oracle import (
     BudgetExceededError,
     GridSpec,
-    OffGridError,
     sample_models,
     semantic_degree_grid,
 )
-from .proofs import Proof, ProofFormatError, SynthesisError, check_proof, synthesize_proof
+from .proofs import Proof, SynthesisError, check_proof, synthesize_proof
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -376,19 +375,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OffGridError, BudgetExceededError, ProofFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (UndecidedError, SynthesisError) as exc:
+    except (UndecidedError, SynthesisError) as exc:  # before ValueError: SynthesisError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOWER_BOUND
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

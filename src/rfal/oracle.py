@@ -62,14 +62,11 @@ def semantic_degree_grid(
     spec: GridSpec,
     *,
     budget: int = 100_000_000,
-    floor: Fraction | None = None,
 ) -> Fraction:
     """Minimum truth degree of the query over all grid models of the theory.
 
     Exactness holds for the Lukasiewicz algebra with every input degree a
-    multiple of 1/k.  `floor` enables early termination once the running
-    minimum reaches a known lower bound; leave it unset for oracle runs that
-    must not assume anything about the answer.
+    multiple of 1/k.
     """
     if theory.algebra is not Algebra.LUKASIEWICZ:
         raise OffGridError("the grid oracle is exact only for the lukasiewicz algebra")
@@ -96,7 +93,7 @@ def semantic_degree_grid(
         t = truth_degree(alg, query, e)
         if t < best:
             best = t
-            if best == 0 or (floor is not None and best <= floor):
+            if best == 0:
                 break
     return best
 

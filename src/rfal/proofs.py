@@ -18,9 +18,10 @@ its formula, as older certificates do; the stated formula must then equal the
 derived one.  The certificate's `conclusion` must equal the last derived
 formula.
 
-Derived rules (projectivity, additivity) exist only as expansion macros inside
-the synthesizer, which turns an engine trace into a certificate of `A => c*B`
-with c the provability degree.
+The synthesizer turns an engine trace into a certificate of `A => c*B`, with
+c the provability degree, using primitive steps only: it chains each rule
+contribution straight onto the accumulated `A => ...` (no derived-rule
+macros).
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ class Proof:
         object.__setattr__(self, "steps", tuple(self.steps))
         if not self.steps:
             raise ValueError("a proof must contain at least one step")
-        if self.steps[-1].formula not in (None, self.conclusion):
-            raise ValueError("the conclusion must equal the last step's formula")
 
     def to_json(self) -> dict:
         steps = []
@@ -276,9 +275,6 @@ class ProofBuilder:
         self._index[step] = index
         return index
 
-    def formula(self, index: int) -> Implication:
-        return self._formulas[index]
-
     def axiom(self, antecedent: FuzzySet, consequent: FuzzySet) -> int:
         return self._push(ProofStep(Implication(antecedent, consequent), AXIOM))
 
@@ -290,23 +286,6 @@ class ProofBuilder:
 
     def cut(self, first: int, second: int) -> int:
         return self._push(ProofStep(None, CUT, (first, second)))
-
-    def union_of(self, first: int, second: int) -> int:
-        """Additivity macro: from X => Y and X => Z derive X => Y|Z.
-
-        Expands to two axioms and three cuts; only primitive steps are
-        emitted.
-        """
-        fy, fz = self.formula(first), self.formula(second)
-        if fy.antecedent != fz.antecedent:
-            raise SynthesisError("additivity needs premises with equal antecedents")
-        x, y, z = fy.antecedent, fy.consequent, fz.consequent
-        xy = union(x, y)
-        lift = self.axiom(xy, x)                 # X|Y => X
-        carried = self.cut(lift, second)         # X|Y => Z
-        widen = self.axiom(union(xy, z), union(y, z))  # X|Y|Z => Y|Z
-        merged = self.cut(carried, widen)        # X|Y => Y|Z
-        return self.cut(first, merged)           # X => Y|Z
 
     def build(self) -> Proof:
         if not self._steps:
@@ -322,11 +301,20 @@ def synthesize_proof(
 ) -> Proof:
     """Certificate of `A => c*B` with c the provability degree of A => B.
 
-    Follows the trace: for every productive step and fired rule it multiplies
-    the rule by its firing degree, cuts the scaled copy onto the accumulated
-    closure of A, and merges the contributions with the additivity macro; a
-    final axiom plus cut lands on the conclusion.  Refuses traces that did not
-    reach a fixpoint, since a lower bound cannot be certified as the degree.
+    Follows the trace, keeping `A => grown` with `grown` the closure of A so
+    far.  A firing of rule `F => G` at degree c whose contribution c*G is not
+    already contained in `grown` is chained on directly, W = grown|c*G:
+
+      mul   c*F => c*G       from the hypothesis F => G
+      cut   grown => c*G     with the axiom grown => c*F (c*F lies in grown)
+      cut   grown => W       with the axiom W => W (its cover lies in grown)
+      cut   A => W           from A => grown
+
+    so each contribution costs at most six new steps plus its hypothesis, and
+    a contribution covered by an earlier firing of the same step costs
+    nothing.  A final axiom plus cut lands on the conclusion.  Refuses traces
+    that did not reach a fixpoint, since a lower bound cannot be certified as
+    the degree.
     """
     if not trace.reached_fixpoint:
         raise SynthesisError("cannot certify a degree from a capped (non-fixpoint) trace")
@@ -342,29 +330,24 @@ def synthesize_proof(
         builder.axiom(a, target.consequent)
         return builder.build()
 
-    accumulated = builder.axiom(a, a)
-    current = a
+    accumulated = builder.axiom(a, a)  # A => grown, with grown = A so far
+    grown = a
     for step_eval, firings in zip(trace.steps, trace.firing_log):
-        contributions: list[tuple[int, FuzzySet]] = []
         for rule_index, firing_degree in firings:
             rule = theory.rules[rule_index]
             contribution = scalar_multiple(alg, firing_degree, rule.consequent)
-            if not contribution or is_contained(contribution, current):
+            if not contribution or is_contained(contribution, grown):
                 continue
-            hyp = builder.hypothesis(rule_index)
-            scaled = builder.mul(hyp, firing_degree)
-            anchor = builder.axiom(current, scalar_multiple(alg, firing_degree, rule.antecedent))
-            landed = builder.cut(anchor, scaled)      # current => c*F
-            lifted = builder.cut(accumulated, landed)  # A => c*F
-            contributions.append((lifted, contribution))
-        grown = current
-        for lifted, contribution in contributions:
-            accumulated = builder.union_of(accumulated, lifted)
-            grown = union(grown, contribution)
+            scaled = builder.mul(builder.hypothesis(rule_index), firing_degree)
+            anchor = builder.axiom(grown, scalar_multiple(alg, firing_degree, rule.antecedent))
+            landed = builder.cut(anchor, scaled)  # grown => c*G
+            widened = union(grown, contribution)
+            kept = builder.cut(landed, builder.axiom(widened, widened))  # grown => W
+            accumulated = builder.cut(accumulated, kept)  # A => W
+            grown = widened
         if grown != step_eval:
             raise SynthesisError("trace firing log is inconsistent with its steps")
-        current = grown
 
-    closing = builder.axiom(current, target.consequent)
+    closing = builder.axiom(grown, target.consequent)
     builder.cut(accumulated, closing)
     return builder.build()

@@ -286,12 +286,15 @@ class TestCertificateWireFormat:
         assert (code, out.strip()) == (3, f"REJECT at step {index}: {reason}")
 
     def test_raised_conclusion_is_rejected(self, capsys, worked_file, tmp_path):
+        # the same verdict whether or not the last step states its formula
         cert, obj = self._prove(capsys, worked_file, tmp_path)
         assert obj["conclusion"]["cons"] == {"r": {"num": 9, "den": 10}}
-        obj["conclusion"]["cons"]["r"] = {"num": 1, "den": 1}
-        code, out, _ = self._check(capsys, worked_file, cert, obj)
         last = len(obj["steps"]) - 1
-        assert (code, out.strip()) == (3, f"REJECT at step {last}: BAD_CONCLUSION")
+        for certificate in (obj, self._full_format(obj)):
+            conclusion = {**certificate["conclusion"], "cons": {"r": {"num": 1, "den": 1}}}
+            raised = {**certificate, "conclusion": conclusion}
+            code, out, _ = self._check(capsys, worked_file, cert, raised)
+            assert (code, out.strip()) == (3, f"REJECT at step {last}: BAD_CONCLUSION")
 
     def test_axiom_without_formula_exits_one(self, capsys, worked_file, tmp_path):
         cert, obj = self._prove(capsys, worked_file, tmp_path)
@@ -362,6 +365,20 @@ class TestUsageErrors:
 
     def test_missing_theory_flag_exits_one(self, capsys):
         assert run(capsys, "degree", "{} => {}")[0] == 1
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["oracle", "--grid-k", "7"], 1, "not a multiple of 1/7"),
+        (["oracle", "--algebra", "product", "--grid-k", "10"], 1,
+         "exact only for the lukasiewicz"),
+        (["demo-goedel", "--k-max", "5", "--max-iter", "1"], 2, "did not converge"),
+    ])
+    def test_refusals_exit_with_their_code(self, capsys, worked_file, argv, code, message):
+        if argv[0] == "oracle":
+            argv = [*argv, "--theory", str(worked_file), "{p:1} => {r:1}"]
+        exit_code, _, err = run(capsys, *argv)
+        assert exit_code == code
+        assert message in err
+        assert "Traceback" not in err
 
 
 def test_console_entry_point_runs(tmp_path):

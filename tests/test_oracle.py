@@ -88,13 +88,6 @@ class TestGridOracle:
             assert trace.reached_fixpoint
             assert oracle == engine
 
-    def test_floor_hint_matches_unhinted_run(self, worked_lukasiewicz):
-        query = imp({"p": "1"}, {"r": "1"})
-        spec = GridSpec(10, ("p", "q", "r"))
-        unhinted = semantic_degree_grid(worked_lukasiewicz, query, spec)
-        hinted = semantic_degree_grid(worked_lukasiewicz, query, spec, floor=unhinted)
-        assert hinted == unhinted
-
 
 class TestGridSpec:
     def test_variables_are_canonicalized(self):

@@ -8,7 +8,6 @@ from rfal import (
     FuzzySet,
     Implication,
     Proof,
-    ProofBuilder,
     ProofFormatError,
     ProofStep,
     SynthesisError,
@@ -25,6 +24,7 @@ from rfal import (
 from rfal.proofs import (
     AXIOM,
     BAD_AXIOM,
+    BAD_CONCLUSION,
     BAD_CUT,
     BAD_INDEX,
     BAD_MUL,
@@ -34,7 +34,7 @@ from rfal.proofs import (
     MUL,
     NOT_IN_THEORY,
 )
-from rfal.oracle import random_evaluation, random_implication, random_theory, sample_models
+from rfal.oracle import random_implication, random_theory, sample_models
 
 from conftest import (
     DEEP_ANTE_CERTIFICATE,
@@ -164,12 +164,14 @@ class TestChecker:
     def test_proof_must_be_nonempty_and_consistent(self, worked_lukasiewicz):
         with pytest.raises(ValueError):
             Proof(theory_hash(worked_lukasiewicz), (), imp({}, {}))
-        with pytest.raises(ValueError):
-            Proof(
-                theory_hash(worked_lukasiewicz),
-                (step(imp({"p": "1"}, {"p": "1"}), AXIOM),),
-                imp({}, {}),
-            )
+        # a conclusion that differs from the last formula is the checker's call
+        mismatched = Proof(
+            theory_hash(worked_lukasiewicz),
+            (step(imp({"p": "1"}, {"p": "1"}), AXIOM),),
+            imp({}, {}),
+        )
+        verdict = check_proof(L, worked_lukasiewicz, mismatched)
+        assert (verdict.accepted, verdict.step, verdict.reason) == (False, 0, BAD_CONCLUSION)
 
 
 class TestSynthesis:
@@ -227,6 +229,20 @@ class TestSynthesis:
                 query.antecedent, scalar_multiple(alg, degree, query.consequent)
             )
 
+    def test_steps_are_bounded_by_the_chain_per_contribution(self):
+        # opening axiom, closing axiom and cut, plus at most six steps per
+        # contribution besides its (deduplicated) hypothesis
+        rng = random.Random(91)
+        for _ in range(300):
+            alg = rng.choice((L, P))
+            theory = random_theory(rng, alg, ("p", "q", "r", "s"), max_rules=6)
+            query = random_implication(rng, ("p", "q", "r", "s"))
+            _, trace = provability_degree(alg, theory, query)
+            proof = synthesize_proof(alg, theory, query, trace)
+            assert check_proof(alg, theory, proof).accepted
+            rules = [s.rule for s in proof.steps]
+            assert len(rules) <= 3 + rules.count(HYP) + 6 * rules.count(MUL)
+
     def test_accepted_conclusions_hold_in_sampled_models(self):
         rng = random.Random(52)
         for i in range(15):
@@ -255,33 +271,6 @@ class TestSynthesis:
             for model in sampled.models:
                 for pstep in proof.steps:
                     assert truth_degree(alg, pstep.formula, model) == 1
-
-
-class TestAdditivityMacro:
-    def test_five_step_expansion_on_random_inputs(self):
-        rng = random.Random(53)
-        for _ in range(100):
-            alg = rng.choice((L, P))
-            e = random_evaluation(rng, ("p", "q", "r"), fill=0.6)
-            f = random_evaluation(rng, ("p", "q", "r"), fill=0.6)
-            g = random_evaluation(rng, ("p", "q", "r"), fill=0.6)
-            theory = Theory((Implication(e, f), Implication(e, g)), alg)
-            builder = ProofBuilder(alg, theory)
-            first = builder.hypothesis(0)
-            second = builder.hypothesis(1)
-            merged = builder.union_of(first, second)
-            assert builder.formula(merged) == Implication(e, union(f, g))
-            proof = builder.build()
-            assert len(proof.steps) <= 7  # two hypotheses plus at most five new steps
-            assert check_proof(alg, theory, proof).accepted
-
-    def test_rejects_mismatched_antecedents(self):
-        theory = Theory((imp({"p": "1"}, {"q": "1"}), imp({"q": "1"}, {"r": "1"})), L)
-        builder = ProofBuilder(L, theory)
-        first = builder.hypothesis(0)
-        second = builder.hypothesis(1)
-        with pytest.raises(SynthesisError):
-            builder.union_of(first, second)
 
 
 class TestMutationFuzzing:
