@@ -55,11 +55,9 @@ from .logic import (
 )
 from .oracle import (
     BudgetExceededError,
-    ClosureLawReport,
     GridSpec,
     OffGridError,
     SampledModels,
-    check_closure_laws,
     sample_models,
     semantic_degree_grid,
 )

@@ -109,7 +109,8 @@ def _build_parser() -> _Parser:
                    help="number of sampled models for the soundness check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=100_000_000,
-                   help="maximum number of grid evaluations")
+                   help="maximum nominal grid size (k+1)^n, not the number of "
+                        "points the pruned walk visits")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("demo-goedel", parents=[common],

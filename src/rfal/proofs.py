@@ -312,9 +312,10 @@ def synthesize_proof(
 
     so each contribution costs at most six new steps plus its hypothesis, and
     a contribution covered by an earlier firing of the same step costs
-    nothing.  A final axiom plus cut lands on the conclusion.  Refuses traces
-    that did not reach a fixpoint, since a lower bound cannot be certified as
-    the degree.
+    nothing.  The first contribution needs no last cut, since there grown is
+    still A and `grown => W` already is `A => W`.  A final axiom plus cut
+    lands on the conclusion.  Refuses traces that did not reach a fixpoint,
+    since a lower bound cannot be certified as the degree.
     """
     if not trace.reached_fixpoint:
         raise SynthesisError("cannot certify a degree from a capped (non-fixpoint) trace")
@@ -330,7 +331,7 @@ def synthesize_proof(
         builder.axiom(a, target.consequent)
         return builder.build()
 
-    accumulated = builder.axiom(a, a)  # A => grown, with grown = A so far
+    accumulated = None  # A => grown, from the first contribution on
     grown = a
     for step_eval, firings in zip(trace.steps, trace.firing_log):
         for rule_index, firing_degree in firings:
@@ -343,7 +344,8 @@ def synthesize_proof(
             landed = builder.cut(anchor, scaled)  # grown => c*G
             widened = union(grown, contribution)
             kept = builder.cut(landed, builder.axiom(widened, widened))  # grown => W
-            accumulated = builder.cut(accumulated, kept)  # A => W
+            # while grown is still A, kept already is A => W
+            accumulated = kept if accumulated is None else builder.cut(accumulated, kept)
             grown = widened
         if grown != step_eval:
             raise SynthesisError("trace firing log is inconsistent with its steps")

@@ -16,7 +16,6 @@ from rfal import (
     GridSpec,
     Implication,
     Theory,
-    check_closure_laws,
     is_contained,
     is_model,
     least_model,
@@ -33,15 +32,16 @@ from rfal import (
     union,
 )
 from rfal.cli import goedel_gap_rows
-from rfal.oracle import (
-    random_evaluation,
+from rfal.oracle import random_evaluation
+
+from conftest import fs, imp
+from harness import (
+    check_closure_laws,
     random_grid_set,
     random_grid_theory,
     random_implication,
     random_theory,
 )
-
-from conftest import fs, imp
 
 L, P = Algebra.LUKASIEWICZ, Algebra.PRODUCT
 
@@ -77,6 +77,34 @@ def test_pavelka_completeness_on_the_grid():
     elapsed = time.monotonic() - started
     assert elapsed < 300
     report("pavelka-completeness-grid", f"{checked}/200 exact matches, {elapsed:.1f}s")
+
+
+def completeness_on_the_grid(seed, k, variables, max_rules, cases):
+    """Engine degree equals the grid oracle's on seeded lukasiewicz theories."""
+    started = time.monotonic()
+    rng = random.Random(seed)
+    spec = GridSpec(k, variables)
+    for _ in range(cases):
+        theory = random_grid_theory(rng, k, variables, max_rules=max_rules)
+        query = Implication(
+            random_grid_set(rng, k, variables), random_grid_set(rng, k, variables)
+        )
+        engine, _ = run_degree(L, theory, query)
+        oracle = semantic_degree_grid(theory, query, spec)
+        assert engine == oracle, (theory.rules, query, engine, oracle)
+    return time.monotonic() - started
+
+
+def test_pavelka_completeness_on_a_finer_grid():
+    # 100 theories of up to 8 rules over 4 variables on the 1/12 grid
+    elapsed = completeness_on_the_grid(111, 12, ("a", "b", "c", "d"), 8, 100)
+    report("pavelka-completeness-grid-k12", f"100/100 exact matches, {elapsed:.1f}s")
+
+
+def test_pavelka_completeness_on_five_variables():
+    # 50 theories of up to 8 rules over 5 variables on the 1/8 grid
+    elapsed = completeness_on_the_grid(112, 8, ("a", "b", "c", "d", "e"), 8, 50)
+    report("pavelka-completeness-grid-5vars", f"50/50 exact matches, {elapsed:.1f}s")
 
 
 def test_degree_law_suites():

@@ -32,7 +32,9 @@ from rfal import (
     union,
 )
 from rfal.proofs import cut_conclusion
-from rfal.oracle import random_evaluation, random_theory
+from rfal.oracle import random_evaluation
+
+from harness import random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 

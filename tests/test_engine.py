@@ -24,9 +24,10 @@ from rfal import (
     truth_degree,
     union,
 )
-from rfal.oracle import random_evaluation, random_implication, random_theory, sample_models
+from rfal.oracle import random_evaluation, sample_models
 
 from conftest import fs, imp
+from harness import random_implication, random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 

@@ -19,9 +19,9 @@ from rfal import (
     truth_degree,
 )
 from rfal.logic import file_header_algebra
-from rfal.oracle import random_theory
 
 from conftest import fs, imp
+from harness import random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from rfal import (
     Implication,
     OffGridError,
     Theory,
-    check_closure_laws,
     is_contained,
     is_model,
     least_model,
@@ -20,9 +20,14 @@ from rfal import (
     semantic_degree_grid,
     subsethood,
 )
-from rfal.oracle import random_grid_theory, random_grid_set
 
 from conftest import fs, imp
+from harness import (
+    check_closure_laws,
+    random_grid_set,
+    random_grid_theory,
+    reference_grid_degree,
+)
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 
@@ -67,6 +72,15 @@ class TestGridOracle:
                 worked_lukasiewicz, imp({"p": "1"}, {"r": "1"}), spec, budget=100
             )
 
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # 1,500 variables, one per level: a recursive walk would overflow
+        # the interpreter stack before reaching the first leaf
+        names = [f"v{i:04d}" for i in range(1500)]
+        theory = Theory(tuple(imp({a: "1"}, {b: "1"}) for a, b in zip(names, names[1:])), L)
+        spec = GridSpec(1, names)
+        degree = semantic_degree_grid(theory, imp({}, {names[-1]: "1"}), spec, budget=2 ** 1500)
+        assert degree == 0
+
     def test_refining_the_grid_never_raises_the_degree(self):
         rng = random.Random(61)
         vars_ = ("p", "q")
@@ -87,6 +101,44 @@ class TestGridOracle:
             engine, trace = provability_degree(L, theory, query)
             assert trace.reached_fixpoint
             assert oracle == engine
+
+
+class TestPrunedWalkAgainstBruteForce:
+    @staticmethod
+    def instance(rng, k, variables, rule_count):
+        def implication():
+            return Implication(random_grid_set(rng, k, variables), random_grid_set(rng, k, variables))
+
+        return Theory(tuple(implication() for _ in range(rule_count)), L), implication()
+
+    def test_degrees_equal_the_reference_enumerator(self):
+        # every k = 1..6 with 1..4 variables and 0..6 rules; small grids get
+        # more cases, so the brute-force reference stays near 45,000 points
+        rng = random.Random(71)
+        seen = Counter()
+        for k in range(1, 7):
+            for n in range(1, 5):
+                variables = ("a", "b", "c", "d")[:n]
+                spec = GridSpec(k, variables)
+                for _ in range(max(4, min(60, 2500 // (k + 1) ** n))):
+                    theory, query = self.instance(rng, k, variables, rng.randint(0, 6))
+                    degree = semantic_degree_grid(theory, query, spec)
+                    assert degree == reference_grid_degree(theory, query, spec), (
+                        k, theory.rules, query, degree,
+                    )
+                    seen["cases"] += 1
+                    seen["degree 0"] += degree == 0
+                    seen["degree 1"] += degree == 1
+                    seen["empty antecedent"] += any(not r.antecedent for r in theory.rules)
+                    seen["empty consequent"] += any(not r.consequent for r in theory.rules)
+                    seen["rule without variables"] += any(
+                        not r.variables() for r in theory.rules
+                    )
+                    seen["unused spec variable"] += bool(
+                        set(variables) - set(theory.variables()) - query.variables()
+                    )
+        assert seen["cases"] >= 1000
+        assert all(seen.values()), seen
 
 
 class TestGridSpec:
