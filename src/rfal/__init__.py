@@ -27,8 +27,6 @@ from .engine import (
     ClosureTrace,
     EngineLimits,
     UndecidedError,
-    closure_step,
-    decide_provable,
     least_model,
     provability_degree,
 )

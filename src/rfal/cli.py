@@ -14,6 +14,7 @@ Exit codes are part of the stable interface:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,6 +64,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rfal", description="Exact inference for graded if-then rules.")
     sub = parser.add_subparsers(dest="command", required=True)

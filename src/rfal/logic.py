@@ -15,11 +15,12 @@ the whole family of weaker graded variants.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import _RATIONAL_TEXT, Algebra, ONE, brief, rational_from_match, residuum
+from .algebra import _RATIONAL_TEXT, Algebra, ONE, ZERO, brief, rational_from_match, residuum
 from .lsets import _VAR_NAME, FuzzySet, scalar_multiple, subsethood
 
 Evaluation = FuzzySet
@@ -111,10 +112,13 @@ _ALGEBRA_NAMES = {alg.value: alg for alg in Algebra}
 class _Scanner:
     """Single-line cursor with 1-based position reporting."""
 
-    def __init__(self, text: str, line_no: int = 1):
+    def __init__(self, text: str, line_no: int = 1, literals: dict | None = None):
         self.text = text
         self.line_no = line_no
         self.pos = 0
+        # degree literal text -> the degree it names (see _literal_degree),
+        # shared by the scanners of one parse call
+        self.literals = {} if literals is None else literals
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         column = (self.pos if pos is None else pos) + 1
@@ -164,7 +168,53 @@ class _Scanner:
         return value
 
 
+# A whole set literal, spaced with blanks and tabs only, and one of its
+# entries, built from the one identifier and degree grammars.
+_DEGREE = re.sub(r"\(\?P<\w+>", "(?:", _RATIONAL_TEXT.pattern)  # its groups made plain
+_BARE_ENTRY = rf"{_VAR_NAME.pattern}[ \t]*:[ \t]*{_DEGREE}"
+_SET_LITERAL = re.compile(
+    rf"[ \t]*\{{[ \t]*(?:{_BARE_ENTRY}(?:[ \t]*,[ \t]*{_BARE_ENTRY})*[ \t]*)?\}}"
+)
+_SET_ENTRY = re.compile(rf"({_VAR_NAME.pattern})[ \t]*:[ \t]*({_DEGREE})")
+
+
 def _scan_set(sc: _Scanner) -> FuzzySet:
+    """A set literal at the cursor.
+
+    The common case is matched whole by one regex and its entries read with
+    one `findall`.  Anything that regex rejects, a duplicate variable, or a
+    degree literal that names no degree goes to the character scanner, which
+    reports the error with its position.
+    """
+    m = _SET_LITERAL.match(sc.text, sc.pos)
+    if m is None:
+        return _scan_set_by_character(sc)
+    literals = sc.literals
+    entries: dict[str, Fraction] = {}
+    for name, literal in _SET_ENTRY.findall(m[0]):
+        if name in entries:
+            return _scan_set_by_character(sc)
+        degree = literals.get(literal)
+        if degree is None:
+            degree = literals[literal] = _literal_degree(literal)
+            if degree is None:
+                return _scan_set_by_character(sc)
+        if degree is not ZERO:
+            entries[sys.intern(name)] = degree
+    sc.pos = m.end()
+    return FuzzySet._raw(entries)
+
+
+def _literal_degree(literal: str) -> Fraction | None:
+    """The degree a literal names, with every zero as ZERO; None if it names none."""
+    try:
+        degree = rational_from_match(_RATIONAL_TEXT.fullmatch(literal))
+    except ValueError:
+        return None
+    return degree if degree else ZERO
+
+
+def _scan_set_by_character(sc: _Scanner) -> FuzzySet:
     sc.expect("{")
     entries: dict[str, Fraction] = {}
     if sc.match("}"):
@@ -204,8 +254,9 @@ def _scan_rule(sc: _Scanner, algebra: Algebra) -> Implication:
 
 def _lines(text: str):
     """A scanner for every line that is not blank after its `#` comment."""
+    literals: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        sc = _Scanner(raw.partition("#")[0], line_no)
+        sc = _Scanner(raw.partition("#")[0], line_no, literals)
         if not sc.at_end():
             yield sc
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -391,3 +392,25 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "9/10 = 0.9"
+
+
+def test_one_process_answers_like_fresh_ones(capsys, monkeypatch, worked_file):
+    # the argument parser is built once per process: later calls, after a
+    # usage error and --help too, must answer exactly as a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")
+    query = "{p:1} => {r:1}"
+    calls = [
+        ["degree", "--theory", str(worked_file), query],
+        ["degree", query],
+        ["degree", "--help"],
+        ["oracle", "--grid-k", "6", "--theory", str(worked_file), query],
+        ["degree", "--theory", str(worked_file), query],
+    ]
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rfal", *argv], capture_output=True, text=True,
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -4,14 +4,15 @@ Each test here pits a load-bearing implementation choice against an
 independent, obviously-correct (if slow) alternative: the deterministic cut
 matcher against an existential search over all decompositions, the
 simultaneous fixpoint iteration against sequential rule-at-a-time iteration,
-the semi-naive closure loop against a dense loop that fires every rule at
-every step, and the engine against exhaustive enumeration of every tiny
-theory.
+the semi-naive closure loop, in both of its encodings, against a dense loop
+that fires every rule at every step, and the engine against exhaustive
+enumeration of every tiny theory.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from rfal import (
     Algebra,
@@ -31,6 +32,7 @@ from rfal import (
     truth_degree,
     union,
 )
+from rfal.engine import MAX_GRID_BITS, grid_denominator
 from rfal.proofs import cut_conclusion
 from rfal.oracle import random_evaluation
 
@@ -183,6 +185,71 @@ class TestSemiNaiveAgainstDenseLoop:
                 assert trace.reached_fixpoint is reference.reached_fixpoint
                 capped += not trace.reached_fixpoint
         assert capped > 50  # the caps cut real runs short
+
+
+def grid_side(alg, theory, start):
+    """(lcm of every denominator in the theory and start, the grid the engine
+    must pick: that lcm, or None under product or past MAX_GRID_BITS)."""
+    sets = [start] + [s for rule in theory.rules for s in (rule.antecedent, rule.consequent)]
+    d = lcm(*(degree.denominator for s in sets for _, degree in s.items()))
+    return d, (None if alg is P or d.bit_length() > MAX_GRID_BITS else d)
+
+
+def random_case(rng, alg, variables, pool, start_pool):
+    """A theory over `variables` with degrees over the denominators in `pool`,
+    a quarter of its rules with empty antecedents, and a start evaluation
+    whose denominators come from `start_pool`."""
+    def degree(dens):
+        den = rng.choice(dens)
+        return Fraction(rng.randint(1, den), den)
+
+    def fuzzy_set(dens, low, high):
+        chosen = rng.sample(variables, min(len(variables), rng.randint(low, high)))
+        return FuzzySet({var: degree(dens) for var in chosen})
+
+    rules = tuple(
+        Implication(
+            FuzzySet() if rng.random() < 0.25 else fuzzy_set(pool, 1, 2), fuzzy_set(pool, 1, 2)
+        )
+        for _ in range(rng.randint(1, 8))
+    )
+    return Theory(rules, alg), fuzzy_set(start_pool, 0, 3)
+
+
+class TestScaledEncodingsAgainstDenseLoop:
+    """Scaled integers on the 1/D grid (Lukasiewicz and Goedel up to
+    MAX_GRID_BITS) and Fractions (product, and any larger D) against the
+    dense Fraction loop."""
+
+    def test_traces_agree_on_both_sides_of_the_bound(self):
+        rng = random.Random(75)
+        variables = ("p", "q", "r", "s", "t")
+        sides = set()
+        empty_antecedents = foreign_start = capped = 0
+        for case in range(180):
+            alg = (L, P, G)[case % 3]
+            if case % 2:  # denominators far apart, D around the bound
+                pool = [rng.getrandbits(rng.randint(MAX_GRID_BITS // 3, MAX_GRID_BITS)) | 1
+                        for _ in range(3)]
+                start_pool = [rng.getrandbits(MAX_GRID_BITS // 4) | 1]
+            else:
+                pool = list(range(1, 13))
+                start_pool = [13, 17, 19, 23]
+            theory, start = random_case(rng, alg, variables, pool, start_pool)
+            d, grid = grid_side(alg, theory, start)
+            assert grid_denominator(alg, theory, start) == grid
+            sides.add((alg, d.bit_length() <= MAX_GRID_BITS))
+            empty_antecedents += any(not rule.antecedent for rule in theory.rules)
+            foreign_start += any(degree.denominator in start_pool for _, degree in start.items())
+            for limits in (EngineLimits(), EngineLimits(1), EngineLimits(2), EngineLimits(3)):
+                trace = least_model(alg, theory, start, limits)
+                reference = dense_least_model(alg, theory, start, limits)
+                assert trace.steps == reference.steps
+                assert trace.firing_log == reference.firing_log
+                assert trace.reached_fixpoint is reference.reached_fixpoint
+                capped += not trace.reached_fixpoint
+        assert sides == {(alg, below) for alg in (L, P, G) for below in (True, False)}
+        assert empty_antecedents > 50 and foreign_start > 50 and capped > 50
 
 
 class TestExhaustiveTinyScale:

@@ -9,9 +9,6 @@ from rfal import (
     FuzzySet,
     Implication,
     Theory,
-    UndecidedError,
-    closure_step,
-    decide_provable,
     is_contained,
     is_model,
     least_model,
@@ -33,6 +30,8 @@ L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 
 
 class TestClosureStep:
+    """The first step of `least_model`, read off a run capped at one step."""
+
     def test_worked_lukasiewicz_first_step(self, worked_lukasiewicz):
         # independent recomputation of the union of scaled consequents
         e = fs(p="1")
@@ -45,17 +44,19 @@ class TestClosureStep:
             scalar_multiple(L, fire2, fs(r="9/10")),
         )
         assert expected == fs(p="1", q="4/5", r="3/10")
-        assert closure_step(L, worked_lukasiewicz, e) == expected
+        assert least_model(L, worked_lukasiewicz, e, EngineLimits(1)).final == expected
 
     def test_model_is_stationary(self, worked_lukasiewicz):
         e = fs(p="1", q="4/5", r="9/10")
         assert is_model(L, worked_lukasiewicz, e)
-        assert closure_step(L, worked_lukasiewicz, e) == e
+        trace = least_model(L, worked_lukasiewicz, e, EngineLimits(1))
+        assert (trace.iterations, trace.reached_fixpoint, trace.final) == (0, True, e)
 
     def test_empty_theory_is_identity(self):
         theory = Theory((), P)
         e = fs(p="1/3")
-        assert closure_step(P, theory, e) == e
+        trace = least_model(P, theory, e, EngineLimits(1))
+        assert (trace.iterations, trace.reached_fixpoint, trace.final) == (0, True, e)
 
 
 class TestLeastModel:
@@ -165,9 +166,13 @@ class TestProvabilityDegree:
 
 
 class TestDecideProvable:
+    """Provable outright means degree exactly 1 at a reached fixpoint."""
+
     def test_examples(self, worked_lukasiewicz):
-        assert decide_provable(L, worked_lukasiewicz, imp({"p": "1"}, {"r": "9/10"}))
-        assert not decide_provable(L, worked_lukasiewicz, imp({"p": "1"}, {"r": "1"}))
+        degree, trace = provability_degree(L, worked_lukasiewicz, imp({"p": "1"}, {"r": "9/10"}))
+        assert degree == 1 and trace.reached_fixpoint
+        degree, trace = provability_degree(L, worked_lukasiewicz, imp({"p": "1"}, {"r": "1"}))
+        assert degree != 1 and trace.reached_fixpoint
 
     def test_empty_consequent_is_always_provable(self):
         rng = random.Random(34)
@@ -175,20 +180,24 @@ class TestDecideProvable:
             alg = rng.choice((L, P))
             theory = random_theory(rng, alg, ("p", "q"))
             a = random_evaluation(rng, ("p", "q"))
-            assert decide_provable(alg, theory, Implication(a, FuzzySet()))
+            degree, trace = provability_degree(alg, theory, Implication(a, FuzzySet()))
+            assert degree == 1 and trace.reached_fixpoint
 
     def test_undecided_under_cap(self, worked_lukasiewicz):
-        with pytest.raises(UndecidedError):
-            decide_provable(L, worked_lukasiewicz, imp({"p": "1"}, {"r": "1"}), EngineLimits(1))
+        query = imp({"p": "1"}, {"r": "1"})
+        _, trace = provability_degree(L, worked_lukasiewicz, query, EngineLimits(1))
+        assert trace.reached_fixpoint is False
 
     def test_agrees_with_degree_one(self):
+        # degree 1 is exactly containment of the consequent in the least model
         rng = random.Random(35)
         for _ in range(100):
             alg = rng.choice((L, P))
             theory = random_theory(rng, alg, ("p", "q", "r"))
             query = random_implication(rng, ("p", "q", "r"))
-            degree, _ = provability_degree(alg, theory, query)
-            assert decide_provable(alg, theory, query) == (degree == 1)
+            degree, trace = provability_degree(alg, theory, query)
+            assert trace.reached_fixpoint
+            assert is_contained(query.consequent, trace.final) == (degree == 1)
 
 
 class TestDegreeLaws:
@@ -304,7 +313,8 @@ class TestTraceShape:
             start = random_evaluation(rng, ("p", "q", "r"))
             trace = least_model(alg, theory, start)
             assert trace.reached_fixpoint
-            assert closure_step(alg, theory, trace.final) == trace.final
+            again = least_model(alg, theory, trace.final, EngineLimits(1))
+            assert (again.iterations, again.reached_fixpoint, again.final) == (0, True, trace.final)
 
     def test_json_export_shape(self, worked_lukasiewicz):
         trace = least_model(L, worked_lukasiewicz, fs(p="1"))

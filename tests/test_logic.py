@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -248,3 +249,50 @@ def test_parser_never_crashes_on_garbage():
         else:
             # successful parses must serialize canonically and round-trip
             assert parse_theory(serialize_theory(theory)) == theory
+
+
+# Outcomes of PINNED_MUTATIONS seeded mutations of PINNED_BODY, recorded at
+# the commit before the single-regex set scanner: any change in what the
+# parser accepts, how it reads it, or where and why it refuses shows here.
+PINNED_HEADER = "algebra lukasiewicz\n"
+PINNED_BODY = (
+    "{p:1} => {q:0.8}\n"
+    "({q:3/5} => {r:9/10}) @ 1/2\n"
+    "{ p : 1/2 ,\tq:0.25 } => {r:1, s:0}\n"
+    "({a:1}=>{b:1/3,c:0.75})@0.5 # note\n"
+)
+PINNED_MUTATIONS = 2000
+PINNED_DIGEST = "476d3864ab9b9dedf75d637512015fa210306b9c7c7b97ca97bc7c67aad8ab51"
+
+
+def _outcome(text: str) -> str:
+    try:
+        theory = parse_theory(text)
+    except ParseError as err:
+        # the interpreter words its integer-size refusal differently across
+        # versions; the position and the fact of refusal are what is pinned
+        message = err.message
+        if "integer string conversion" in message:
+            message = "integer string conversion limit"
+        return f"error {err.line}:{err.column}: {message}"
+    return serialize_theory(theory)
+
+
+def test_parser_outcomes_are_pinned():
+    rng = random.Random(25)
+    alphabet = "{}(),:=>@/. \tabpqr0123456789\n#²é١３"
+    inserts = ("9" * 4400, "1" * 60, "/0", ":2", ", p:1/2", ", q:1", "0.", " @ 1/2", "\t")
+    digest = hashlib.sha256()
+    for _ in range(PINNED_MUTATIONS):
+        text = list(PINNED_BODY)
+        for _ in range(rng.randint(1, 4)):
+            position = rng.randrange(len(text))
+            roll = rng.random()
+            if roll < 0.4:
+                text[position] = rng.choice(alphabet)
+            elif roll < 0.8:
+                text.insert(position, rng.choice(alphabet))
+            else:
+                text.insert(position, rng.choice(inserts))
+        digest.update(_outcome(PINNED_HEADER + "".join(text)).encode() + b"\0")
+    assert digest.hexdigest() == PINNED_DIGEST
