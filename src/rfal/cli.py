@@ -47,7 +47,7 @@ from .oracle import (
     sample_models,
     semantic_degree_grid,
 )
-from .proofs import Proof, SynthesisError, check_proof, synthesize_proof
+from .proofs import Proof, SynthesisError, check_proof, synthesize_proof, widest_integer
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -242,6 +242,13 @@ def _cmd_prove(args) -> int:
               "so the degree is only a lower bound; " + _still_climbing(trace), file=sys.stderr)
         return EXIT_LOWER_BOUND
     proof = synthesize_proof(theory.algebra, theory, query, trace)
+    # the interpreter refuses to write an integer past this many digits
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    widest = widest_integer(proof)
+    if digits and widest >= 10 ** digits:
+        print(f"refusing to certify: the certificate needs a {widest.bit_length()}-bit "
+              f"integer, over the {digits}-digit limit for writing integers", file=sys.stderr)
+        return EXIT_LOWER_BOUND
     _emit(args, proof.dumps())
     print(f"proof: {len(proof.steps)} steps, degree {degree}, "
           f"conclusion {proof.conclusion.to_text()}", file=sys.stderr)

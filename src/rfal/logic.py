@@ -191,6 +191,7 @@ def _scan_set(sc: _Scanner) -> FuzzySet:
         return _scan_set_by_character(sc)
     literals = sc.literals
     entries: dict[str, Fraction] = {}
+    zeros = False
     for name, literal in _SET_ENTRY.findall(m[0]):
         if name in entries:
             return _scan_set_by_character(sc)
@@ -199,10 +200,20 @@ def _scan_set(sc: _Scanner) -> FuzzySet:
             degree = literals[literal] = _literal_degree(literal)
             if degree is None:
                 return _scan_set_by_character(sc)
-        if degree is not ZERO:
-            entries[sys.intern(name)] = degree
+        entries[sys.intern(name)] = degree
+        if degree is ZERO:
+            zeros = True
     sc.pos = m.end()
-    return FuzzySet._raw(entries)
+    return FuzzySet._raw(_drop_zeros(entries) if zeros else entries)
+
+
+def _drop_zeros(entries: dict[str, Fraction]) -> dict[str, Fraction]:
+    """A set literal's entries without its zero degrees.
+
+    The scanners keep a zero entry until the literal ends, so a variable
+    named at degree 0 and again later is still a duplicate.
+    """
+    return {name: degree for name, degree in entries.items() if degree}
 
 
 def _literal_degree(literal: str) -> Fraction | None:
@@ -226,11 +237,9 @@ def _scan_set_by_character(sc: _Scanner) -> FuzzySet:
         if name in entries:
             raise sc.error(f"duplicate variable {name!r} in set literal", name_pos)
         sc.expect(":")
-        degree = sc.scan_degree()
-        if degree != 0:
-            entries[name] = degree
+        entries[name] = sc.scan_degree()
         if sc.match("}"):
-            return FuzzySet._raw(entries)
+            return FuzzySet._raw(_drop_zeros(entries))
         sc.expect(",")
 
 

@@ -44,13 +44,16 @@ class FuzzySet:
     def __init__(self, entries: Mapping[str, object] | Iterable[tuple[str, object]] = ()):
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         cleaned: dict[str, Fraction] = {}
+        zeros = False
         for name, raw in pairs:
             var = check_var(name)
             if var in cleaned:
                 raise ValueError(f"duplicate variable: {var}")
-            degree = as_unit_degree(raw)
-            if degree != 0:
-                cleaned[var] = degree
+            degree = cleaned[var] = as_unit_degree(raw)
+            if not degree:
+                zeros = True
+        if zeros:  # a zero degree still names its variable once
+            cleaned = {var: degree for var, degree in cleaned.items() if degree}
         self._finish(cleaned)
 
     def _finish(self, mapping: dict[str, Fraction]) -> None:
@@ -152,6 +155,8 @@ def intersect(*sets: FuzzySet) -> FuzzySet:
 
 def scalar_multiple(alg: Algebra, c: Fraction, a: FuzzySet) -> FuzzySet:
     """The c-multiple of a set: apply tnorm(c, .) pointwise, dropping zeros."""
+    if c == 1:  # 1 is the unit of every t-norm
+        return a
     out: dict[str, Fraction] = {}
     for var, degree in a.items():
         value = tnorm(alg, c, degree)

@@ -18,10 +18,12 @@ its formula, as older certificates do; the stated formula must then equal the
 derived one.  The certificate's `conclusion` must equal the last derived
 formula.
 
-The synthesizer turns an engine trace into a certificate of `A => c*B`, with
-c the provability degree, using primitive steps only: it chains each rule
-contribution straight onto the accumulated `A => ...` (no derived-rule
-macros).
+The synthesizer turns an engine trace into a certificate of `A => d*B`, with
+d the provability degree, using primitive steps only.  It walks the rule
+contributions backward from the goal `d*B`, keeping the frontier `X` that
+the goal still needs, and certifies only the contributions that raise some
+part of it: why-provenance (Buneman, Khanna & Tan, ICDT 2001) built into the
+proof shape.  A certificate has at most 3 + #hyp + 4*#mul steps.
 """
 
 from __future__ import annotations
@@ -139,6 +141,21 @@ class Proof:
         except (ValueError, RecursionError) as exc:
             raise ProofFormatError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_json(obj)
+
+
+def widest_integer(proof: Proof) -> int:
+    """The largest numerator or denominator that the certificate's JSON writes."""
+    sets = [proof.conclusion.antecedent, proof.conclusion.consequent]
+    widest = 1
+    for step in proof.steps:
+        if step.rule == AXIOM:
+            sets += (step.formula.antecedent, step.formula.consequent)
+        elif step.scalar is not None:
+            widest = max(widest, step.scalar.numerator, step.scalar.denominator)
+    for fuzzy in sets:
+        for _, degree in fuzzy.items():
+            widest = max(widest, degree.numerator, degree.denominator)
+    return widest
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -287,6 +304,9 @@ class ProofBuilder:
     def cut(self, first: int, second: int) -> int:
         return self._push(ProofStep(None, CUT, (first, second)))
 
+    def formula(self, index: int) -> Implication:
+        return self._formulas[index]
+
     def build(self) -> Proof:
         if not self._steps:
             raise SynthesisError("no steps have been added")
@@ -299,23 +319,27 @@ def synthesize_proof(
     query: Implication,
     trace: ClosureTrace,
 ) -> Proof:
-    """Certificate of `A => c*B` with c the provability degree of A => B.
+    """Certificate of `A => d*B` with d the provability degree of A => B.
 
-    Follows the trace, keeping `A => grown` with `grown` the closure of A so
-    far.  A firing of rule `F => G` at degree c whose contribution c*G is not
-    already contained in `grown` is chained on directly, W = grown|c*G:
+    A forward pass over the trace collects the contributions: the firings of
+    a rule `F => G` at degree c whose c*G is not yet contained in `grown`, the
+    closure of A so far, each with `W`, the closure before it.  A firing at
+    degree 0, or at the degree its rule last fired at, is skipped unscaled:
+    firing degrees never decrease, so its c*G is already inside `grown`.
 
-      mul   c*F => c*G       from the hypothesis F => G
-      cut   grown => c*G     with the axiom grown => c*F (c*F lies in grown)
-      cut   grown => W       with the axiom W => W (its cover lies in grown)
-      cut   A => W           from A => grown
+    A backward pass then keeps one formula `X => d*B`, starting from the
+    axiom `d*B => d*B`, and states only what the query still needs.  A
+    contribution whose W already contains X is skipped.  Otherwise:
 
-    so each contribution costs at most six new steps plus its hypothesis, and
-    a contribution covered by an earlier firing of the same step costs
-    nothing.  The first contribution needs no last cut, since there grown is
-    still A and `grown => W` already is `A => W`.  A final axiom plus cut
-    lands on the conclusion.  Refuses traces that did not reach a fixpoint,
-    since a lower bound cannot be certified as the degree.
+      mul   c*F => c*G           from the hypothesis F => G
+      cut   c*F|X' => X          with the axiom X|c*G => X, unless c*G lies in X
+      cut   c*F|X' => d*B        onto X => d*B
+
+    where X' is the part of X above c*G; the new X is c*F|X', which lies
+    inside W.  A closing axiom `A => X` and cut land on the conclusion.  So a
+    certificate has at most 3 + #hyp + 4*#mul steps, with each hypothesis
+    written once.  Refuses traces that did not reach a fixpoint, since a
+    lower bound cannot be certified as the degree.
     """
     if not trace.reached_fixpoint:
         raise SynthesisError("cannot certify a degree from a capped (non-fixpoint) trace")
@@ -324,32 +348,38 @@ def synthesize_proof(
 
     a = query.antecedent
     degree = subsethood(alg, query.consequent, trace.final)
-    target = Implication(a, scalar_multiple(alg, degree, query.consequent))
+    goal = scalar_multiple(alg, degree, query.consequent)
 
     builder = ProofBuilder(alg, theory)
-    if is_contained(target.consequent, a):
-        builder.axiom(a, target.consequent)
+    if is_contained(goal, a):
+        builder.axiom(a, goal)
         return builder.build()
 
-    accumulated = None  # A => grown, from the first contribution on
+    contributions = []  # (rule index, c, c*G, closure before it)
+    last_degree: dict[int, Fraction] = {}
     grown = a
     for step_eval, firings in zip(trace.steps, trace.firing_log):
-        for rule_index, firing_degree in firings:
-            rule = theory.rules[rule_index]
-            contribution = scalar_multiple(alg, firing_degree, rule.consequent)
-            if not contribution or is_contained(contribution, grown):
+        for rule_index, c in firings:
+            if not c or last_degree.get(rule_index) == c:
                 continue
-            scaled = builder.mul(builder.hypothesis(rule_index), firing_degree)
-            anchor = builder.axiom(grown, scalar_multiple(alg, firing_degree, rule.antecedent))
-            landed = builder.cut(anchor, scaled)  # grown => c*G
-            widened = union(grown, contribution)
-            kept = builder.cut(landed, builder.axiom(widened, widened))  # grown => W
-            # while grown is still A, kept already is A => W
-            accumulated = kept if accumulated is None else builder.cut(accumulated, kept)
-            grown = widened
+            last_degree[rule_index] = c
+            contribution = scalar_multiple(alg, c, theory.rules[rule_index].consequent)
+            if is_contained(contribution, grown):
+                continue
+            contributions.append((rule_index, c, contribution, grown))
+            grown = union(grown, contribution)
         if grown != step_eval:
             raise SynthesisError("trace firing log is inconsistent with its steps")
 
-    closing = builder.axiom(grown, target.consequent)
-    builder.cut(accumulated, closing)
+    x = goal
+    current = builder.axiom(goal, goal)  # X => d*B
+    for rule_index, c, contribution, before in reversed(contributions):
+        if is_contained(x, before):
+            continue
+        scaled = builder.mul(builder.hypothesis(rule_index), c)  # c*F => c*G
+        if not is_contained(contribution, x):
+            scaled = builder.cut(scaled, builder.axiom(union(x, contribution), x))
+        current = builder.cut(scaled, current)
+        x = builder.formula(current).antecedent
+    builder.cut(builder.axiom(a, x), current)
     return builder.build()

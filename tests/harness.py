@@ -1,5 +1,5 @@
-"""Shared test harness: seeded random instances, closure-law checks and the
-brute-force grid reference.
+"""Shared test harness: seeded random instances, closure-law checks, the
+brute-force grid reference and the forward-chain certificate reference.
 
 Everything is driven by an explicit `random.Random` seed, so test and
 acceptance runs are reproducible bit for bit.  Nothing here is used by the
@@ -22,14 +22,19 @@ from rfal import (
     FuzzySet,
     GridSpec,
     Implication,
+    Proof,
+    ProofBuilder,
     Theory,
     is_contained,
     is_model,
     least_model,
+    scalar_multiple,
     subsethood,
     truth_degree,
+    union,
 )
 from rfal.algebra import ONE
+from rfal.engine import ClosureTrace
 from rfal.oracle import random_evaluation
 
 
@@ -100,6 +105,54 @@ def reference_grid_degree(theory: Theory, query: Implication, spec: GridSpec) ->
             if best == 0:
                 break
     return best
+
+
+# ---------------------------------------------------------------------------
+# Forward-chain certificate reference
+# ---------------------------------------------------------------------------
+
+def reference_forward_proof(
+    alg: Algebra, theory: Theory, query: Implication, trace: ClosureTrace
+) -> Proof:
+    """Certificate of `A => d*B` by chaining every contribution forward.
+
+    Keeps `A => grown` and chains each firing of `F => G` at degree c whose
+    c*G is not yet in `grown` onto it, W = grown|c*G:
+
+      mul   c*F => c*G       from the hypothesis F => G
+      cut   grown => c*G     with the axiom grown => c*F
+      cut   grown => W       with the axiom W => W
+      cut   A => W           from A => grown (not for the first contribution)
+
+    then lands on the conclusion with a closing axiom and cut.  It restates
+    the whole closure per contribution and certifies firings the query never
+    uses; the goal-directed `synthesize_proof` is checked against it.  Expects
+    a fixpoint trace that starts from the query antecedent.
+    """
+    a = query.antecedent
+    degree = subsethood(alg, query.consequent, trace.final)
+    goal = scalar_multiple(alg, degree, query.consequent)
+    builder = ProofBuilder(alg, theory)
+    if is_contained(goal, a):
+        builder.axiom(a, goal)
+        return builder.build()
+    accumulated = None  # A => grown, from the first contribution on
+    grown = a
+    for firings in trace.firing_log:
+        for rule_index, c in firings:
+            rule = theory.rules[rule_index]
+            contribution = scalar_multiple(alg, c, rule.consequent)
+            if not contribution or is_contained(contribution, grown):
+                continue
+            scaled = builder.mul(builder.hypothesis(rule_index), c)
+            anchor = builder.axiom(grown, scalar_multiple(alg, c, rule.antecedent))
+            landed = builder.cut(anchor, scaled)  # grown => c*G
+            widened = union(grown, contribution)
+            kept = builder.cut(landed, builder.axiom(widened, widened))  # grown => W
+            accumulated = kept if accumulated is None else builder.cut(accumulated, kept)
+            grown = widened
+    builder.cut(accumulated, builder.axiom(grown, goal))
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------

@@ -190,16 +190,39 @@ class TestProveAndCheck:
         run(capsys, "prove", "--theory", str(worked_file), "--output", str(cert),
             "{p:1} => {r:1}")
         obj = json.loads(cert.read_text())
-        for step in obj["steps"]:
-            if step["rule"] == "mul" and step["scalar"]["num"] != 0:
-                step["scalar"] = {"num": 1, "den": 97}
-                break
+        steps = obj["steps"]
+        tampered = next(i for i, step in enumerate(steps)
+                        if step["rule"] == "mul" and step["scalar"]["num"] != 0)
+        steps[tampered]["scalar"] = {"num": 1, "den": 97}
         cert.write_text(json.dumps(obj))
         code, out, _ = run(capsys, "check-proof", "--theory", str(worked_file), str(cert))
-        # the mul step states no formula, so the wrong scalar surfaces at
-        # the cut that uses its result
+        # a lowered scalar shrinks both sides of the mul, so its own cut
+        # (the first with it as a premise) still holds, with a smaller
+        # antecedent; the mul states no formula, so the wrong scalar surfaces
+        # at the next cut of the chain, the first that uses the own cut
+        own = next(i for i, step in enumerate(steps)
+                   if step["rule"] == "cut" and tampered in step["premises"])
+        following = next(i for i, step in enumerate(steps)
+                         if step["rule"] == "cut" and own in step["premises"])
         assert code == 3
-        assert out.strip() == "REJECT at step 3: BAD_CUT"
+        assert out.strip() == f"REJECT at step {following}: BAD_CUT"
+
+    def test_raised_scalar_is_rejected_at_the_muls_own_cut(self, capsys, product_file, tmp_path):
+        cert = tmp_path / "proof.json"
+        run(capsys, "prove", "--theory", str(product_file), "--output", str(cert),
+            "{p:1/4} => {q:1}")
+        obj = json.loads(cert.read_text())
+        steps = obj["steps"]
+        tampered = next(i for i, step in enumerate(steps) if step["rule"] == "mul")
+        assert steps[tampered]["scalar"] == {"num": 1, "den": 2}
+        steps[tampered]["scalar"] = {"num": 1, "den": 1}
+        cert.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "check-proof", "--theory", str(product_file), str(cert))
+        # a raised scalar raises the mul's consequent above what its cut uses
+        own = next(i for i, step in enumerate(steps)
+                   if step["rule"] == "cut" and tampered in step["premises"])
+        assert code == 3
+        assert out.strip() == f"REJECT at step {own}: BAD_CUT"
 
     def test_check_json_verdict(self, capsys, worked_file, tmp_path):
         cert = tmp_path / "proof.json"
@@ -210,6 +233,24 @@ class TestProveAndCheck:
         )
         assert code == 0
         assert json.loads(out) == {"verdict": "ACCEPT"}
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no limit on writing integers")
+    def test_prove_refuses_a_certificate_it_cannot_write(self, capsys, tmp_path):
+        # the product ascent to p = 1 takes 2,293 steps, and its certificate
+        # states degrees whose integers run past the interpreter's
+        # 4300-digit limit for writing them
+        theory = tmp_path / "ascent.rfal"
+        theory.write_text("algebra product\n{p:99/100} => {p:1}\n{} => {p:1/10000000000}\n")
+        cert = tmp_path / "proof.json"
+        code, out, err = run(capsys, "prove", "--theory", str(theory), "--output", str(cert),
+                             "{} => {p:1}")
+        assert (code, out) == (2, "")
+        assert err == ("refusing to certify: the certificate needs a 15188-bit integer, "
+                       "over the 4300-digit limit for writing integers\n")
+        assert not cert.exists()
+        code, out, _ = run(capsys, "degree", "--theory", str(theory), "{} => {p:1}")
+        assert (code, out.splitlines()[0]) == (0, "1")
 
     def test_prove_refuses_capped_run(self, capsys, worked_file):
         code, _, err = run(

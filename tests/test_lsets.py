@@ -36,6 +36,15 @@ class TestFuzzySet:
         assert s.degree("q") == Fraction(1, 2)
         assert len(s) == 1
 
+    @pytest.mark.parametrize("entries", [
+        [("p", 0), ("p", 1)],
+        [("p", 1), ("p", 0)],
+        [("p", 0), ("p", 0)],
+    ])
+    def test_a_zero_degree_still_names_its_variable(self, entries):
+        with pytest.raises(ValueError, match="duplicate variable: p"):
+            FuzzySet(entries)
+
     def test_items_are_sorted(self):
         s = fs(q="1/2", a="1", m="1/4")
         assert [var for var, _ in s.items()] == ["a", "m", "q"]

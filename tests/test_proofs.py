@@ -43,9 +43,9 @@ from conftest import (
     fs,
     imp,
 )
-from harness import random_implication, random_theory
+from harness import random_implication, random_theory, reference_forward_proof
 
-L, P = Algebra.LUKASIEWICZ, Algebra.PRODUCT
+L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 
 
 def step(formula, rule, premises=(), hyp_index=None, scalar=None):
@@ -231,8 +231,8 @@ class TestSynthesis:
             )
 
     def test_steps_are_bounded_by_the_chain_per_contribution(self):
-        # closing axiom and cut, plus at most six steps per contribution
-        # besides its (deduplicated) hypothesis, five for the first one
+        # opening axiom, closing axiom and cut, plus at most four steps per
+        # used contribution besides its (deduplicated) hypothesis
         rng = random.Random(91)
         for _ in range(300):
             alg = rng.choice((L, P))
@@ -242,7 +242,41 @@ class TestSynthesis:
             proof = synthesize_proof(alg, theory, query, trace)
             assert check_proof(alg, theory, proof).accepted
             rules = [s.rule for s in proof.steps]
-            assert len(rules) <= 1 + rules.count(HYP) + 6 * rules.count(MUL)
+            assert len(rules) <= 3 + rules.count(HYP) + 4 * rules.count(MUL)
+
+    def test_a_rule_the_query_does_not_use_is_not_certified(self, worked_lukasiewicz):
+        # {p:1} => {s:1} fires in the first step, but r does not depend on s
+        theory = Theory(
+            worked_lukasiewicz.rules + (imp({"p": "1"}, {"s": "1"}),), L
+        )
+        query = imp({"p": "1"}, {"r": "1"})
+        _, trace = provability_degree(L, theory, query)
+        assert any(index == 2 and c == 1 for index, c in trace.firing_log[0])
+        proof = synthesize_proof(L, theory, query, trace)
+        restored = Proof.loads(proof.dumps())
+        assert check_proof(L, theory, restored).accepted
+        assert restored.conclusion == imp({"p": "1"}, {"r": "9/10"})
+        assert sorted(s.hyp_index for s in proof.steps if s.rule == HYP) == [0, 1]
+
+    def test_matches_the_forward_chain_reference(self):
+        # same conclusion as the forward chain, never more steps, and
+        # accepted after a round trip through the wire format
+        rng = random.Random(93)
+        shorter = 0
+        for _ in range(240):
+            alg = rng.choice((L, P, G))
+            variables = ("p", "q", "r", "s", "t")[: rng.randint(2, 5)]
+            theory = random_theory(rng, alg, variables, max_rules=8)
+            query = random_implication(rng, variables)
+            _, trace = provability_degree(alg, theory, query)
+            proof = synthesize_proof(alg, theory, query, trace)
+            reference = reference_forward_proof(alg, theory, query, trace)
+            assert check_proof(alg, theory, reference).accepted
+            assert check_proof(alg, theory, Proof.loads(proof.dumps())).accepted
+            assert proof.conclusion == reference.conclusion
+            assert len(proof.steps) <= len(reference.steps)
+            shorter += len(proof.steps) < len(reference.steps)
+        assert shorter >= 60
 
     def test_accepted_conclusions_hold_in_sampled_models(self):
         rng = random.Random(52)
