@@ -169,7 +169,7 @@ def _still_climbing(trace: ClosureTrace) -> str:
     At most three are named, in sorted order.  A rise whose denominator is too
     long to print is described by its size.
     """
-    before = trace.steps[-2] if len(trace.steps) > 1 else trace.start
+    before = trace.penultimate
     rises = []
     for var, degree in trace.final.items():
         rise = degree - before.degree(var)
@@ -181,10 +181,30 @@ def _still_climbing(trace: ClosureTrace) -> str:
     return "still climbing: " + ", ".join(rises[:3]) + more
 
 
+def _unwritable(widest: int) -> str | None:
+    """Why an output whose largest integer is `widest` cannot be written, or
+    None when it can."""
+    # the interpreter refuses to write an integer past this many digits;
+    # below 3·digits bits an integer is under 8^digits, so within the limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and widest.bit_length() >= 3 * digits and widest >= 10 ** digits:
+        return (f"needs a {widest.bit_length()}-bit integer, over the {digits}-digit "
+                "limit for writing integers")
+    return None
+
+
+def _widest(degrees) -> int:
+    return max((max(q.numerator, q.denominator) for q in degrees), default=1)
+
+
 def _cmd_degree(args) -> int:
     theory = _load_theory(args)
     query = parse_implication(args.query)
     degree, trace = provability_degree(theory.algebra, theory, query, _limits(args))
+    problem = _unwritable(_widest([degree]))
+    if problem:
+        print(f"refusing to write: the degree {problem}", file=sys.stderr)
+        return EXIT_LOWER_BOUND
     payload = {
         "degree": rational_to_json(degree),
         "iterations": trace.iterations,
@@ -210,6 +230,16 @@ def _cmd_closure(args) -> int:
     theory = _load_theory(args)
     start = parse_set(args.start)
     trace = least_model(theory.algebra, theory, start, _limits(args))
+    if args.trace:
+        what = "trace"
+        degrees = [q for step in (trace.start,) + trace.steps for _, q in step.items()]
+        degrees += [c for firings in trace.firing_log for _, c in firings]
+    else:
+        what, degrees = "closure", [q for _, q in trace.final.items()]
+    problem = _unwritable(_widest(degrees))
+    if problem:
+        print(f"refusing to write: the {what} {problem}", file=sys.stderr)
+        return EXIT_LOWER_BOUND
     if args.trace:
         _emit(args, json.dumps(trace.to_json(), indent=2))
     elif args.format == "json":
@@ -242,12 +272,9 @@ def _cmd_prove(args) -> int:
               "so the degree is only a lower bound; " + _still_climbing(trace), file=sys.stderr)
         return EXIT_LOWER_BOUND
     proof = synthesize_proof(theory.algebra, theory, query, trace)
-    # the interpreter refuses to write an integer past this many digits
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    widest = widest_integer(proof)
-    if digits and widest >= 10 ** digits:
-        print(f"refusing to certify: the certificate needs a {widest.bit_length()}-bit "
-              f"integer, over the {digits}-digit limit for writing integers", file=sys.stderr)
+    problem = _unwritable(widest_integer(proof))
+    if problem:
+        print(f"refusing to certify: the certificate {problem}", file=sys.stderr)
         return EXIT_LOWER_BOUND
     _emit(args, proof.dumps())
     print(f"proof: {len(proof.steps)} steps, degree {degree}, "

@@ -30,6 +30,48 @@ closure time at D of 3,900-7,500 bits, broke even at 8,700 bits (1.03) and
 lost from 10,000 bits on (1.09, and 3.2 at 39,000 bits), while Fractions stay
 near 1.0 throughout; so the bound sits at the break-even point.
 
+Slow ascents are jumped.  Under Lukasiewicz and product the step count can
+grow with 1/epsilon (`{} => {p:1/n}`, `{p:(n-1)/n} => {p:1}` takes n steps),
+which is exponential in the size of the input.  While the firing pattern
+holds, every step is the same map: it adds the same rise to the same
+variables (Lukasiewicz) or multiplies them by the same ratio (product).  So
+when two steps in a row raise the same variables by the same rise, the loop
+looks for the longest run of steps from the current point s that follow the
+line s + j*rise (under product s*rise^j) and takes it as one round.  An
+ordinary step pays for the trigger with one comparison of its raised
+variables with those of the step before, and computes its rise only when
+they are the same; the rule loop itself does no extra work.
+
+The run is found by doubling and then bisection over j.  A probe fires the
+due rules once, at the point j steps along the line, with the same function
+as an ordinary step.  It holds when that step raises the same variables by
+the same rise, and every due firing degree lies on the line through its
+degrees at j = 0 and j = 1.  Checking only j = 0, 1 and the last step of a
+run is exact.  Along the line every firing degree is the minimum of 1 and of
+terms affine in j (log-affine under product), so it is concave in j, and a
+concave function with three collinear values is affine between the outer
+two.  With every firing degree affine, each raised value is the maximum of
+its old value and of terms affine in j, so the rise is convex in j, and a
+convex function that is equal at three points is constant between the outer
+two.  The due rules stay the same along the run, since they watch the raised
+variables, and every other rule keeps its firing degree.  Goedel never jumps:
+its residuum is b until b reaches a and 1 from there on, so its firing
+degrees are not concave, and its values never leave the finitely many
+degrees of the theory and the start, so its runs are short anyway.
+
+The cap counts logical steps, a jump of J steps counting J, and runs are
+clipped so that they never pass it; so an existing cap keeps its meaning.
+Counting rounds instead would also lift the bound on number sizes: under
+product a jump of J steps computes rise^J, so a small input with a cap on
+rounds could ask for integers of billions of bits.  With the cap on steps,
+no probe reaches past the cap, and doubling passes the end of a run by at
+most a factor of two, so a jump builds numbers at most about twice as long as
+those of the steps it stands for.
+
+The trace stores the rounds.  Its dense per-step views are built on first
+access: the evaluations from the line, and the firing degrees of each later
+step of a round by `subsethood` on the evaluation before that step.
+
 Only variables occurring in the theory or the start evaluation can ever gain
 a degree, and zero membership is represented by absence, so no explicit
 variable universe needs to be materialized.
@@ -37,10 +79,11 @@ variable universe needs to be materialized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import ONE, ZERO, Algebra, rational_to_json
 from .lsets import FuzzySet, subsethood
@@ -76,28 +119,103 @@ MAX_GRID_BITS = 8192
 FiringLog = tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
-    """Record of one least-model run.
+class Round(NamedTuple):
+    """`count` consecutive steps along one line.
 
-    `steps` holds the evaluations after each productive application; the
-    stationary application that detects the fixpoint is not recorded.  When
-    `reached_fixpoint` is false, the final evaluation is only a sound lower
-    approximation of the least model.
+    The first step gives `first`, with the degree of every rule in `firings`.
+    Each later step raises every variable in `rise` once more: it adds the
+    rise (Lukasiewicz) or multiplies by it (product).  `last` is the
+    evaluation after the last step.
     """
 
-    start: Evaluation
-    steps: tuple[Evaluation, ...]
-    firing_log: tuple[FiringLog, ...]
-    reached_fixpoint: bool
+    first: Evaluation
+    firings: FiringLog
+    last: Evaluation
+    count: int = 1
+    rise: dict[str, Fraction] | None = None
 
-    @property
-    def iterations(self) -> int:
-        return len(self.steps)
+
+class ClosureTrace:
+    """Record of one least-model run, stored as rounds of steps.
+
+    `steps` holds the evaluations after each productive application and
+    `firing_log` the degree of every rule at each of them; both are dense
+    per-step views, built from the rounds on first access.  The stationary
+    application that detects the fixpoint is not recorded.  When
+    `reached_fixpoint` is false, the final evaluation is only a sound lower
+    approximation of the least model.
+
+    `ClosureTrace(start, steps, firing_log, reached_fixpoint)` builds a trace
+    from dense per-step data, one round per step; the engine builds its
+    traces with `of_rounds`.
+    """
+
+    def __init__(self, start: Evaluation, steps, firing_log, reached_fixpoint: bool):
+        self.start = start
+        self.rounds = tuple(Round(step, firings, step) for step, firings in zip(steps, firing_log))
+        self.reached_fixpoint = reached_fixpoint
+        self.iterations = len(self.rounds)
+        self._alg, self._rules = None, ()
+        self.steps, self.firing_log = tuple(steps), tuple(firing_log)
+
+    @classmethod
+    def of_rounds(cls, alg: Algebra, theory: Theory, start: Evaluation,
+                  rounds, reached_fixpoint: bool) -> "ClosureTrace":
+        """The trace of `rounds` of steps of `theory` under `alg` from `start`."""
+        trace = cls.__new__(cls)
+        trace.start, trace.rounds = start, tuple(rounds)
+        trace.reached_fixpoint = reached_fixpoint
+        trace.iterations = sum(r.count for r in trace.rounds)
+        trace._alg, trace._rules = alg, theory.rules
+        return trace
 
     @property
     def final(self) -> Evaluation:
-        return self.steps[-1] if self.steps else self.start
+        return self.rounds[-1].last if self.rounds else self.start
+
+    @property
+    def penultimate(self) -> Evaluation:
+        """The evaluation before the last step (`start` when there is none)."""
+        if not self.rounds:
+            return self.start
+        last = self.rounds[-1]
+        if last.count > 1:
+            return self._moved(last.last, last.rise, -1)
+        return self.rounds[-2].last if len(self.rounds) > 1 else self.start
+
+    def _moved(self, evaluation: Evaluation, rise: dict, times: int) -> Evaluation:
+        """`evaluation` moved `times` steps along the line of `rise`."""
+        product = self._alg is Algebra.PRODUCT
+        moved = dict(evaluation.items())
+        for var, r in rise.items():
+            moved[var] = moved[var] * r ** times if product else moved[var] + times * r
+        return FuzzySet._raw(moved)
+
+    @functools.cached_property
+    def steps(self) -> tuple[Evaluation, ...]:
+        steps = []
+        for r in self.rounds:
+            evaluation = r.first
+            steps.append(evaluation)
+            for _ in range(r.count - 1):
+                evaluation = self._moved(evaluation, r.rise, 1)
+                steps.append(evaluation)
+        return tuple(steps)
+
+    @functools.cached_property
+    def firing_log(self) -> tuple[FiringLog, ...]:
+        # a later step of a round fires every rule against the evaluation
+        # the step before it gave
+        log = []
+        steps = iter(self.steps)
+        for r in self.rounds:
+            log.append(r.firings)
+            before = next(steps)
+            for _ in range(r.count - 1):
+                log.append(tuple((index, subsethood(self._alg, rule.antecedent, before))
+                                 for index, rule in enumerate(self._rules)))
+                before = next(steps)
+        return tuple(log)
 
     def to_json(self) -> dict:
         return {
@@ -148,9 +266,20 @@ class _Decoded(dict):
         return fraction
 
 
-def _steps(alg: Algebra, theory: Theory, e: Evaluation) -> Iterator[tuple[Evaluation, FiringLog]]:
-    """The productive steps from `e`, each with the degree of every rule."""
+class _Raw(dict):
+    """Leaves scaled values as they are, where `_Decoded` would decode them."""
+
+    def __missing__(self, value: int) -> int:
+        return value
+
+
+_RAW = _Raw()
+
+
+def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Round]:
+    """The productive steps from `e`, in rounds that never run past step `cap`."""
     grid = grid_denominator(alg, theory, e)
+    decoded = None
     if grid is None:
         unit, zero = ONE, ZERO
 
@@ -177,11 +306,15 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation) -> Iterator[tuple[Evalua
     for index, rule in enumerate(rules):
         for var in rule.antecedent.support():
             watchers.setdefault(var, []).append(index)
-    values = dict(encode(e.items()))
-    fractions = dict(e.items())
     firings: list = [None] * len(rules)  # every slot is set by the first sweep
-    due: Iterable[int] = range(len(rules))
-    while True:
+
+    # the defaults make the loop's constants locals, which the rule loop
+    # reads faster than the enclosing function's variables
+    def fire(due, values, out, decoded, table=table, unit=unit, zero=zero, luk=luk, prod=prod,
+             grid=grid):
+        """Fire the `due` rules against `values`; each one's degree goes into
+        `out`, through `decoded`, and the variables they raise come back with
+        new values."""
         raised: dict = {}
         for index in due:
             antecedent, consequent = table[index]
@@ -199,7 +332,7 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation) -> Iterator[tuple[Evalua
                         c = r
                         if not c:
                             break
-            firings[index] = (index, c if grid is None else decoded[c])
+            out[index] = (index, c if grid is None else decoded[c])
             if not c:
                 continue
             for var, d in consequent:  # tnorm of the firing degree and d
@@ -214,13 +347,95 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation) -> Iterator[tuple[Evalua
                 old = raised.get(var)
                 if v > (values.get(var, zero) if old is None else old):
                     raised[var] = v
+        return raised
+
+    def along(start, rise, j):
+        """`start` moved j steps along the line of `rise`."""
+        point = dict(start)
+        for var, r in rise.items():
+            point[var] = start[var] * r ** j if prod else start[var] + j * r
+        return point
+
+    def run_length(due, start, rise, room):
+        """How many steps from `start`, at most `room` (2 or more), follow the
+        line of `rise`.  The step from `start` is known to follow it, and
+        `firings` holds its degrees."""
+        degrees0 = [c for _, c in encode([firings[index] for index in due])]
+        trial = [None] * len(rules)
+
+        def probe(j):
+            """Whether the step from start + j·rise raises by `rise`, and the
+            degrees of the due rules in it."""
+            point = along(start, rise, j)
+            raised = fire(due, point, trial, _RAW)
+            steady = raised.keys() == rise.keys() and all(
+                (point[var] * r if prod else point[var] + r) == raised[var]
+                for var, r in rise.items())
+            return steady, [trial[index][1] for index in due]
+
+        steady, degrees1 = probe(1)
+        if not steady:
+            return 1
+        # each degree on the line through its values in the first two steps:
+        # c0 + j·slope, or under product c0·ratio^j
+        if prod:
+            slopes = [c1 / c0 if c0 else c0 for c0, c1 in zip(degrees0, degrees1)]
+        else:
+            slopes = [c1 - c0 for c0, c1 in zip(degrees0, degrees1)]
+
+        def follows(j):  # the steps from start + i·rise follow the line for every i <= j
+            steady, degrees = probe(j)
+            return steady and all(
+                c == (c0 * slope ** j if prod else c0 + j * slope)
+                for c0, slope, c in zip(degrees0, slopes, degrees))
+
+        # double until a probe fails, then bisect: the steps follow for every
+        # j <= good and not for j = bad
+        good, bad = 1, room
+        while good < bad - 1:
+            j = min(2 * good, bad - 1) if bad == room else (good + bad) // 2
+            if follows(j):
+                good = j
+            else:
+                bad = j
+        return good + 1
+
+    values = dict(encode(e.items()))
+    fractions = dict(e.items())
+    due: Iterable[int] = range(len(rules))
+    jumps = alg is not Algebra.GOEDEL
+    taken = 0
+    previous: dict = {}  # the variables the step before raised
+    line = None  # their rise, when that step raised the same ones as the step before it
+    while True:
+        raised = fire(due, values, firings, decoded)
         if not raised:
             return
-        values.update(raised)
+        log = tuple(firings)
+        rise = None
+        if jumps and raised.keys() == previous.keys():
+            rise = {var: v / values[var] if prod else v - values[var] for var, v in raised.items()}
+        count = 1
+        if rise is not None and rise == line and cap - taken > 1:
+            count = run_length(due, values, rise, cap - taken)
+        if count > 1:
+            values = along(values, rise, count)
+        else:
+            values.update(raised)
         fractions = dict(fractions)
         for var, v in raised.items():
             fractions[var] = v if grid is None else decoded[v]
-        yield FuzzySet._raw(fractions), tuple(firings)
+        first = FuzzySet._raw(fractions)
+        if count > 1:
+            fractions = dict(fractions)
+            for var in raised:
+                fractions[var] = values[var] if grid is None else decoded[values[var]]
+            yield Round(first, log, FuzzySet._raw(fractions), count,
+                        rise if grid is None else {var: decoded[r] for var, r in rise.items()})
+        else:
+            yield Round(first, log, first)
+        taken += count
+        previous, line = raised, rise
         due = {index for var in raised for index in watchers.get(var, ())}
 
 
@@ -233,17 +448,18 @@ def least_model(
     """Iterate closure steps from `e` until stationary or the cap is hit.
 
     For finite theories under Lukasiewicz or product the fixpoint is always
-    reached, and it is the least model of the theory containing `e`.  After
-    the cap-th productive step one more sweep decides whether it was the last.
+    reached, and it is the least model of the theory containing `e`.  The cap
+    counts logical steps, a jump of J steps counting J.  After the cap-th
+    step one more sweep decides whether it was the last.
     """
-    steps: list[Evaluation] = []
-    log: list[FiringLog] = []
-    for evaluation, firings in _steps(alg, theory, e):
-        if len(steps) >= limits.max_iterations:
-            return ClosureTrace(e, tuple(steps), tuple(log), False)
-        steps.append(evaluation)
-        log.append(firings)
-    return ClosureTrace(e, tuple(steps), tuple(log), True)
+    rounds: list[Round] = []
+    taken = 0
+    for step in _steps(alg, theory, e, limits.max_iterations):
+        if taken >= limits.max_iterations:
+            return ClosureTrace.of_rounds(alg, theory, e, rounds, False)
+        rounds.append(step)
+        taken += step.count
+    return ClosureTrace.of_rounds(alg, theory, e, rounds, True)
 
 
 def provability_degree(

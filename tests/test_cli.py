@@ -14,6 +14,10 @@ from conftest import DEEP_ANTE_CERTIFICATE, DUPLICATE_KEY_CERTIFICATE, PADDED_RA
 
 WORKED = "algebra lukasiewicz\n{p:1} => {q:0.8}\n{q:3/5} => {r:9/10}\n"
 PRODUCT = "algebra product\n{p:1/2} => {q:4/5}\n"
+# reaches p = 1 in 2,293 steps, through degrees with integers of up to 15,188 bits
+PRODUCT_ASCENT = "algebra product\n{p:99/100} => {p:1}\n{} => {p:1/10000000000}\n"
+NO_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                    reason="this interpreter has no limit on writing integers")
 
 
 @pytest.fixture
@@ -97,6 +101,31 @@ class TestDegree:
         assert code == 2
         assert "still climbing: p +1/10001 per step\n" in err
 
+    def test_a_long_ascent_closes_under_a_large_cap(self, capsys, tmp_path):
+        # 100,000 steps at 1/100000 each; the cap counts every one of them
+        path = tmp_path / "ascent.rfal"
+        path.write_text("algebra lukasiewicz\n{} => {p:1/100000}\n{p:99999/100000} => {p:1}\n")
+        code, out, _ = run(capsys, "degree", "--theory", str(path), "--max-iter", "100000",
+                           "{} => {p:1}")
+        assert (code, out.splitlines()) == (0, ["1", "iterations: 100000", "fixpoint: yes"])
+        # the default cap of 10,000 cuts the long run short; the rise named is
+        # that of the last step it allowed
+        code, out, err = run(capsys, "degree", "--theory", str(path), "{} => {p:1}")
+        assert (code, out.splitlines()) == (2, ["1/10 = 0.1", "iterations: 10000", "fixpoint: no"])
+        assert err.endswith("lower bound only; still climbing: p +1/100000 per step\n")
+
+    @NO_DIGIT_LIMIT
+    def test_refuses_a_degree_it_cannot_write(self, capsys, tmp_path):
+        theory = tmp_path / "ascent.rfal"
+        theory.write_text(PRODUCT_ASCENT)
+        target = tmp_path / "degree.txt"
+        code, out, err = run(capsys, "degree", "--theory", str(theory), "--max-iter", "2200",
+                             "--output", str(target), "{} => {p:1}")
+        assert (code, out) == (2, "")
+        assert err == ("refusing to write: the degree needs a 14578-bit integer, "
+                       "over the 4300-digit limit for writing integers\n")
+        assert not target.exists()
+
     def test_env_var_mirrors_max_iter(self, capsys, worked_file, monkeypatch):
         monkeypatch.setenv("RFAL_MAX_ITER", "1")
         code, _, _ = run(capsys, "degree", "--theory", str(worked_file), "{p:1} => {r:1}")
@@ -159,6 +188,22 @@ class TestClosure:
             {"num": 1, "den": 1},
         ]
 
+
+    @NO_DIGIT_LIMIT
+    @pytest.mark.parametrize("flags, what, bits", [
+        (["--max-iter", "2200"], "closure", 14578),
+        (["--trace"], "trace", 15188),
+    ])
+    def test_refuses_a_closure_it_cannot_write(self, capsys, tmp_path, flags, what, bits):
+        theory = tmp_path / "ascent.rfal"
+        theory.write_text(PRODUCT_ASCENT)
+        target = tmp_path / "closure.txt"
+        code, out, err = run(capsys, "closure", "--theory", str(theory), *flags,
+                             "--output", str(target), "{}")
+        assert (code, out) == (2, "")
+        assert err == (f"refusing to write: the {what} needs a {bits}-bit integer, "
+                       "over the 4300-digit limit for writing integers\n")
+        assert not target.exists()
 
     def test_cap_warning_names_at_most_three_variables(self, capsys, tmp_path):
         path = tmp_path / "wide.rfal"

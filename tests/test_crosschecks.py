@@ -4,15 +4,17 @@ Each test here pits a load-bearing implementation choice against an
 independent, obviously-correct (if slow) alternative: the deterministic cut
 matcher against an existential search over all decompositions, the
 simultaneous fixpoint iteration against sequential rule-at-a-time iteration,
-the semi-naive closure loop, in both of its encodings, against a dense loop
-that fires every rule at every step, and the engine against exhaustive
-enumeration of every tiny theory.
+the semi-naive closure loop, in both of its encodings and with its jumps
+along slow ascents, against a dense loop that fires every rule at every step,
+and the engine against exhaustive enumeration of every tiny theory.
 """
 
 import itertools
 import random
 from fractions import Fraction
 from math import lcm
+
+import pytest
 
 from rfal import (
     Algebra,
@@ -36,6 +38,7 @@ from rfal.engine import MAX_GRID_BITS, grid_denominator
 from rfal.proofs import cut_conclusion
 from rfal.oracle import random_evaluation
 
+from conftest import imp
 from harness import random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
@@ -185,6 +188,83 @@ class TestSemiNaiveAgainstDenseLoop:
                 assert trace.reached_fixpoint is reference.reached_fixpoint
                 capped += not trace.reached_fixpoint
         assert capped > 50  # the caps cut real runs short
+
+
+def slow_ascent(rng, alg):
+    """A theory on 1-4 variables that climbs slowly: a seed rule
+    `{} => {v:1/N}`, self-loops and 2-cycles whose antecedent degrees lie
+    near 1, and now and then a second antecedent variable or a consequent
+    degree below 1."""
+    def near_one(low=2, high=30):
+        m = rng.randint(low, high)
+        return Fraction(m - 1, m)
+
+    variables = [f"v{i}" for i in range(rng.randint(1, 4))]
+    seed = FuzzySet({rng.choice(variables): Fraction(1, rng.randint(2, 60))})
+    rules = [Implication(FuzzySet(), seed)]
+    for var in variables:
+        other = rng.choice(variables)
+        antecedent = {var: near_one()}
+        if other != var and rng.random() < 0.2:
+            antecedent[other] = near_one()
+        head = rng.choice(variables) if rng.random() < 0.3 else var
+        rules.append(Implication(FuzzySet(antecedent),
+                                 FuzzySet({head: 1 if rng.random() < 0.7 else near_one(8, 40)})))
+        if other != var:  # a 2-cycle through `other`
+            rules.append(Implication(FuzzySet({var: near_one()}), FuzzySet({other: 1})))
+            rules.append(Implication(FuzzySet({other: near_one()}), FuzzySet({var: 1})))
+    rng.shuffle(rules)
+    return Theory(tuple(rules), alg), FuzzySet()
+
+
+class TestJumpsAgainstDenseLoop:
+    def test_slow_ascents_agree_field_by_field(self):
+        rng = random.Random(76)
+        jumped = inside = 0
+        for case in range(450):
+            alg = (L, P, G)[case % 3]
+            theory, start = slow_ascent(rng, alg)
+            full = least_model(alg, theory, start)
+            jumped += len(full.rounds) < full.iterations
+            caps = [EngineLimits(), EngineLimits(1), EngineLimits(2), EngineLimits(3)]
+            done = 0
+            for r in full.rounds:  # a cap that cuts the first long round short
+                if r.count > 2:
+                    caps.append(EngineLimits(done + rng.randint(1, r.count - 1)))
+                    inside += 1
+                    break
+                done += r.count
+            for limits in caps:
+                trace = least_model(alg, theory, start, limits)
+                reference = dense_least_model(alg, theory, start, limits)
+                assert trace.steps == reference.steps
+                assert trace.firing_log == reference.firing_log
+                assert trace.iterations == reference.iterations
+                assert trace.reached_fixpoint is reference.reached_fixpoint
+                assert trace.final == reference.final
+                assert trace.penultimate == (reference.steps[-2] if reference.iterations > 1
+                                             else reference.start)
+        assert jumped >= 100 and inside >= 100
+
+    @pytest.mark.parametrize("alg, rules", [
+        # p and q climb by 1/200 and 1/100 per step.  On the line through
+        # those rises, p's own rule stops raising it at p = 41/200 and the
+        # two-variable rule takes over only from about step 59, so p's rise
+        # is 1/200 at both ends of that stretch and smaller inside it: only
+        # the firing degrees tell the two ends apart
+        (L, [({}, {"p": "1/200"}), ({}, {"q": "1/100"}), ({"q": "99/100"}, {"q": "1"}),
+             ({"p": "1/5"}, {"p": "41/200"}), ({"q": "3/4", "p": "9/20"}, {"p": "91/200"})]),
+        # the same shape under product, with constant ratios in place of rises
+        (P, [({}, {"p": "1/200"}), ({}, {"q": "1/3459"}), ({"q": "7/10"}, {"q": "1"}),
+             ({"p": "1/10"}, {"p": "19/150"}), ({"p": "1/2", "q": "19/100"}, {"p": "19/30"})]),
+    ])
+    def test_a_dip_between_two_setters_ends_the_run(self, alg, rules):
+        theory = Theory(tuple(imp(a, b) for a, b in rules), alg)
+        trace = least_model(alg, theory, FuzzySet())
+        reference = dense_least_model(alg, theory, FuzzySet())
+        assert trace.steps == reference.steps
+        assert trace.firing_log == reference.firing_log
+        assert len(trace.rounds) < trace.iterations
 
 
 def grid_side(alg, theory, start):

@@ -293,6 +293,18 @@ class TestStress:
         assert trace.final == fs(p="9/10")
         assert trace.iterations < 100
 
+    @pytest.mark.parametrize("alg, rules, steps", [
+        # lukasiewicz n = 9835: 1/n per step up to 1
+        (L, [({}, {"p": "1/9835"}), ({"p": "9834/9835"}, {"p": "1"})], 9835),
+        # product m = 50, e = 6: times 50/49 per step from 10^-6
+        (P, [({}, {"p": "1/1000000"}), ({"p": "49/50"}, {"p": "1"})], 685),
+    ])
+    def test_slow_ascents_close_in_few_rounds(self, alg, rules, steps):
+        theory = Theory(tuple(imp(a, b) for a, b in rules), alg)
+        trace = least_model(alg, theory, FuzzySet())
+        assert (trace.final, trace.iterations, trace.reached_fixpoint) == (fs(p="1"), steps, True)
+        assert len(trace.rounds) <= 6
+
     def test_wide_random_theory_converges(self):
         rng = random.Random(43)
         variables = tuple(f"v{i}" for i in range(8))
