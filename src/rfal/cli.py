@@ -319,15 +319,19 @@ def _cmd_oracle(args) -> int:
 
     if args.samples is not None:
         engine_degree, trace = provability_degree(theory.algebra, theory, query, limits)
-        if not trace.reached_fixpoint:
-            print("warning: engine hit the iteration cap; sampling against a lower bound; "
-                  + _still_climbing(trace), file=sys.stderr)
         sampled = sample_models(theory.algebra, theory, query.antecedent,
                                 args.samples, args.seed, limits=limits)
         truths = [truth_degree(theory.algebra, query, e) for e in sampled.models]
         violations = sum(1 for t in truths if t < engine_degree)
         minimum = min(truths, default=None)
         witness = truth_degree(theory.algebra, query, trace.final)
+        problem = _unwritable(_widest(q for q in (engine_degree, minimum, witness) if q is not None))
+        if problem:
+            print(f"refusing to write: the sampling result {problem}", file=sys.stderr)
+            return EXIT_LOWER_BOUND
+        if not trace.reached_fixpoint:
+            print("warning: engine hit the iteration cap; sampling against a lower bound; "
+                  + _still_climbing(trace), file=sys.stderr)
         sections["sampling"] = {
             "engine_degree": rational_to_json(engine_degree),
             "samples": len(sampled.models),

@@ -9,8 +9,9 @@ The loop is semi-naive.  A rule's firing degree changes only when a variable
 of its antecedent changed, so after the first step, which fires every rule,
 a step re-fires only the rules that watch a variable raised by the step
 before; every other rule keeps its cached degree, and its scaled consequent
-is already joined into the evaluation.  The evaluations and the (dense)
-firing log are exactly those of firing every rule at every step.
+is already joined into the evaluation.  So the evaluations are exactly those
+of firing every rule at every step, and so is the firing log once each rule's
+degree is carried forward to the steps that did not re-fire it.
 
 Under Lukasiewicz and Goedel every value the loop computes is a multiple of
 1/D, where D is the lcm of the denominators of the rules and of the start
@@ -68,9 +69,13 @@ no probe reaches past the cap, and doubling passes the end of a run by at
 most a factor of two, so a jump builds numbers at most about twice as long as
 those of the steps it stands for.
 
-The trace stores the rounds.  Its dense per-step views are built on first
-access: the evaluations from the line, and the firing degrees of each later
-step of a round by `subsethood` on the evaluation before that step.
+The trace stores the rounds, and a round stores the degrees of only the
+rules its sweep fired, so a run's memory grows with its firings, not with
+rules times steps.  One walk over the rounds yields each step's evaluation,
+from the line, and the degrees of the rules it fired: a later step of a round
+re-fires that round's rules, by `subsethood` on the evaluation before that
+step.  Proof synthesis reads the walk; the dense per-step views are built
+from it on first access.
 
 Only variables occurring in the theory or the start evaluation can ever gain
 a degree, and zero membership is represented by absence, so no explicit
@@ -122,10 +127,12 @@ FiringLog = tuple[tuple[int, Fraction], ...]
 class Round(NamedTuple):
     """`count` consecutive steps along one line.
 
-    The first step gives `first`, with the degree of every rule in `firings`.
-    Each later step raises every variable in `rise` once more: it adds the
-    rise (Lukasiewicz) or multiplies by it (product).  `last` is the
-    evaluation after the last step.
+    The first step gives `first`, and `firings` holds the degrees of the
+    rules it fired, in rule order: every rule in the first round, after that
+    the rules watching a variable the step before raised.  Every other rule
+    kept its degree.  Each later step re-fires the same rules and raises
+    every variable in `rise` once more: it adds the rise (Lukasiewicz) or
+    multiplies by it (product).  `last` is the evaluation after the last step.
     """
 
     first: Evaluation
@@ -136,38 +143,25 @@ class Round(NamedTuple):
 
 
 class ClosureTrace:
-    """Record of one least-model run, stored as rounds of steps.
+    """Record of one least-model run of `theory` under `alg` from `start`,
+    stored as rounds of steps.
 
-    `steps` holds the evaluations after each productive application and
-    `firing_log` the degree of every rule at each of them; both are dense
-    per-step views, built from the rounds on first access.  The stationary
-    application that detects the fixpoint is not recorded.  When
-    `reached_fixpoint` is false, the final evaluation is only a sound lower
-    approximation of the least model.
-
-    `ClosureTrace(start, steps, firing_log, reached_fixpoint)` builds a trace
-    from dense per-step data, one round per step; the engine builds its
-    traces with `of_rounds`.
+    `walk` yields each step's evaluation with the degrees of the rules it
+    fired.  `steps` holds the evaluations after each productive application
+    and `firing_log` the degree of every rule at each of them; both are dense
+    per-step views, built from the walk on first access, with each degree
+    carried forward until its rule fires again.  The stationary application
+    that detects the fixpoint is not recorded.  When `reached_fixpoint` is
+    false, the final evaluation is only a sound lower approximation of the
+    least model.
     """
 
-    def __init__(self, start: Evaluation, steps, firing_log, reached_fixpoint: bool):
-        self.start = start
-        self.rounds = tuple(Round(step, firings, step) for step, firings in zip(steps, firing_log))
+    def __init__(self, alg: Algebra, theory: Theory, start: Evaluation, rounds,
+                 reached_fixpoint: bool):
+        self.start, self.rounds = start, tuple(rounds)
         self.reached_fixpoint = reached_fixpoint
-        self.iterations = len(self.rounds)
-        self._alg, self._rules = None, ()
-        self.steps, self.firing_log = tuple(steps), tuple(firing_log)
-
-    @classmethod
-    def of_rounds(cls, alg: Algebra, theory: Theory, start: Evaluation,
-                  rounds, reached_fixpoint: bool) -> "ClosureTrace":
-        """The trace of `rounds` of steps of `theory` under `alg` from `start`."""
-        trace = cls.__new__(cls)
-        trace.start, trace.rounds = start, tuple(rounds)
-        trace.reached_fixpoint = reached_fixpoint
-        trace.iterations = sum(r.count for r in trace.rounds)
-        trace._alg, trace._rules = alg, theory.rules
-        return trace
+        self.iterations = sum(r.count for r in self.rounds)
+        self._alg, self._rules = alg, theory.rules
 
     @property
     def final(self) -> Evaluation:
@@ -191,30 +185,33 @@ class ClosureTrace:
             moved[var] = moved[var] * r ** times if product else moved[var] + times * r
         return FuzzySet._raw(moved)
 
-    @functools.cached_property
-    def steps(self) -> tuple[Evaluation, ...]:
-        steps = []
+    def walk(self) -> Iterator[tuple[Evaluation, FiringLog]]:
+        """Each step's evaluation and the degrees of the rules it fired.
+
+        A later step of a round re-fires that round's rules against the
+        evaluation the step before it gave.
+        """
         for r in self.rounds:
             evaluation = r.first
-            steps.append(evaluation)
+            yield evaluation, r.firings
             for _ in range(r.count - 1):
+                fired = tuple((index, subsethood(self._alg, self._rules[index].antecedent,
+                                                 evaluation))
+                              for index, _ in r.firings)
                 evaluation = self._moved(evaluation, r.rise, 1)
-                steps.append(evaluation)
-        return tuple(steps)
+                yield evaluation, fired
+
+    @functools.cached_property
+    def steps(self) -> tuple[Evaluation, ...]:
+        return tuple(evaluation for evaluation, _ in self.walk())
 
     @functools.cached_property
     def firing_log(self) -> tuple[FiringLog, ...]:
-        # a later step of a round fires every rule against the evaluation
-        # the step before it gave
-        log = []
-        steps = iter(self.steps)
-        for r in self.rounds:
-            log.append(r.firings)
-            before = next(steps)
-            for _ in range(r.count - 1):
-                log.append(tuple((index, subsethood(self._alg, rule.antecedent, before))
-                                 for index, rule in enumerate(self._rules)))
-                before = next(steps)
+        log, degrees = [], [None] * len(self._rules)  # the first step fires every rule
+        for _, fired in self.walk():
+            for index, c in fired:
+                degrees[index] = c
+            log.append(tuple(enumerate(degrees)))
         return tuple(log)
 
     def to_json(self) -> dict:
@@ -266,16 +263,6 @@ class _Decoded(dict):
         return fraction
 
 
-class _Raw(dict):
-    """Leaves scaled values as they are, where `_Decoded` would decode them."""
-
-    def __missing__(self, value: int) -> int:
-        return value
-
-
-_RAW = _Raw()
-
-
 def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Round]:
     """The productive steps from `e`, in rounds that never run past step `cap`."""
     grid = grid_denominator(alg, theory, e)
@@ -310,10 +297,9 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Ro
 
     # the defaults make the loop's constants locals, which the rule loop
     # reads faster than the enclosing function's variables
-    def fire(due, values, out, decoded, table=table, unit=unit, zero=zero, luk=luk, prod=prod,
-             grid=grid):
-        """Fire the `due` rules against `values`; each one's degree goes into
-        `out`, through `decoded`, and the variables they raise come back with
+    def fire(due, values, out, table=table, unit=unit, zero=zero, luk=luk, prod=prod):
+        """Fire the `due` rules against `values`; each one's scaled degree goes
+        into its slot of `out`, and the variables they raise come back with
         new values."""
         raised: dict = {}
         for index in due:
@@ -332,7 +318,7 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Ro
                         c = r
                         if not c:
                             break
-            out[index] = (index, c if grid is None else decoded[c])
+            out[index] = c
             if not c:
                 continue
             for var, d in consequent:  # tnorm of the firing degree and d
@@ -360,18 +346,18 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Ro
         """How many steps from `start`, at most `room` (2 or more), follow the
         line of `rise`.  The step from `start` is known to follow it, and
         `firings` holds its degrees."""
-        degrees0 = [c for _, c in encode([firings[index] for index in due])]
+        degrees0 = [firings[index] for index in due]
         trial = [None] * len(rules)
 
         def probe(j):
             """Whether the step from start + j·rise raises by `rise`, and the
             degrees of the due rules in it."""
             point = along(start, rise, j)
-            raised = fire(due, point, trial, _RAW)
+            raised = fire(due, point, trial)
             steady = raised.keys() == rise.keys() and all(
                 (point[var] * r if prod else point[var] + r) == raised[var]
                 for var, r in rise.items())
-            return steady, [trial[index][1] for index in due]
+            return steady, [trial[index] for index in due]
 
         steady, degrees1 = probe(1)
         if not steady:
@@ -408,10 +394,11 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Ro
     previous: dict = {}  # the variables the step before raised
     line = None  # their rise, when that step raised the same ones as the step before it
     while True:
-        raised = fire(due, values, firings, decoded)
+        raised = fire(due, values, firings)
         if not raised:
             return
-        log = tuple(firings)
+        log = tuple((index, firings[index] if grid is None else decoded[firings[index]])
+                    for index in sorted(due))
         rise = None
         if jumps and raised.keys() == previous.keys():
             rise = {var: v / values[var] if prod else v - values[var] for var, v in raised.items()}
@@ -456,10 +443,10 @@ def least_model(
     taken = 0
     for step in _steps(alg, theory, e, limits.max_iterations):
         if taken >= limits.max_iterations:
-            return ClosureTrace.of_rounds(alg, theory, e, rounds, False)
+            return ClosureTrace(alg, theory, e, rounds, False)
         rounds.append(step)
         taken += step.count
-    return ClosureTrace.of_rounds(alg, theory, e, rounds, True)
+    return ClosureTrace(alg, theory, e, rounds, True)
 
 
 def provability_degree(

@@ -23,7 +23,8 @@ d the provability degree, using primitive steps only.  It walks the rule
 contributions backward from the goal `d*B`, keeping the frontier `X` that
 the goal still needs, and certifies only the contributions that raise some
 part of it: why-provenance (Buneman, Khanna & Tan, ICDT 2001) built into the
-proof shape.  A certificate has at most 3 + #hyp + 4*#mul steps.
+proof shape.  A certificate has at most 3 + #hyp + #mul + 3m steps, for m
+certified contributions.
 """
 
 from __future__ import annotations
@@ -331,15 +332,17 @@ def synthesize_proof(
     axiom `d*B => d*B`, and states only what the query still needs.  A
     contribution whose W already contains X is skipped.  Otherwise:
 
-      mul   c*F => c*G           from the hypothesis F => G
+      mul   c*F => c*G           from the hypothesis F => G, unless c = 1
       cut   c*F|X' => X          with the axiom X|c*G => X, unless c*G lies in X
       cut   c*F|X' => d*B        onto X => d*B
 
     where X' is the part of X above c*G; the new X is c*F|X', which lies
-    inside W.  A closing axiom `A => X` and cut land on the conclusion.  So a
-    certificate has at most 3 + #hyp + 4*#mul steps, with each hypothesis
-    written once.  Refuses traces that did not reach a fixpoint, since a
-    lower bound cannot be certified as the degree.
+    inside W.  At c = 1 the hypothesis itself is c*F => c*G, so it takes the
+    place of the mul.  A closing axiom `A => X` and cut land on the
+    conclusion.  So a certificate of m contributions has at most
+    3 + #hyp + #mul + 3m steps, with each hypothesis written once.  Refuses
+    traces that did not reach a fixpoint, since a lower bound cannot be
+    certified as the degree.
     """
     if not trace.reached_fixpoint:
         raise SynthesisError("cannot certify a degree from a capped (non-fixpoint) trace")
@@ -358,7 +361,7 @@ def synthesize_proof(
     contributions = []  # (rule index, c, c*G, closure before it)
     last_degree: dict[int, Fraction] = {}
     grown = a
-    for step_eval, firings in zip(trace.steps, trace.firing_log):
+    for step_eval, firings in trace.walk():
         for rule_index, c in firings:
             if not c or last_degree.get(rule_index) == c:
                 continue
@@ -376,7 +379,8 @@ def synthesize_proof(
     for rule_index, c, contribution, before in reversed(contributions):
         if is_contained(x, before):
             continue
-        scaled = builder.mul(builder.hypothesis(rule_index), c)  # c*F => c*G
+        hypothesis = builder.hypothesis(rule_index)
+        scaled = hypothesis if c == 1 else builder.mul(hypothesis, c)  # c*F => c*G
         if not is_contained(contribution, x):
             scaled = builder.cut(scaled, builder.axiom(union(x, contribution), x))
         current = builder.cut(scaled, current)

@@ -232,8 +232,9 @@ class TestProveAndCheck:
 
     def test_tampered_scalar_is_rejected_with_exit_three(self, capsys, worked_file, tmp_path):
         cert = tmp_path / "proof.json"
+        # from p = 1/2 both rules fire below 1, so each needs a mul
         run(capsys, "prove", "--theory", str(worked_file), "--output", str(cert),
-            "{p:1} => {r:1}")
+            "{p:1/2} => {r:1}")
         obj = json.loads(cert.read_text())
         steps = obj["steps"]
         tampered = next(i for i, step in enumerate(steps)
@@ -325,7 +326,7 @@ class TestProveAndCheck:
 class TestCertificateWireFormat:
     """Derived steps may omit their formula; a stated one must be the derived one."""
 
-    QUERY = "{p:1} => {r:1}"
+    QUERY = "{p:1/2} => {r:1}"  # both rules fire below 1, so each needs a mul
 
     def _prove(self, capsys, worked_file, tmp_path):
         cert = tmp_path / "proof.json"
@@ -375,7 +376,7 @@ class TestCertificateWireFormat:
     def test_raised_conclusion_is_rejected(self, capsys, worked_file, tmp_path):
         # the same verdict whether or not the last step states its formula
         cert, obj = self._prove(capsys, worked_file, tmp_path)
-        assert obj["conclusion"]["cons"] == {"r": {"num": 9, "den": 10}}
+        assert obj["conclusion"]["cons"] == {"r": {"num": 3, "den": 5}}
         last = len(obj["steps"]) - 1
         for certificate in (obj, self._full_format(obj)):
             conclusion = {**certificate["conclusion"], "cons": {"r": {"num": 1, "den": 1}}}
@@ -412,6 +413,20 @@ class TestOracle:
         assert payload["engine_degree"] == {"num": 2, "den": 5}
         assert payload["violations"] == 0
         assert payload["witness_truth_degree"] == {"num": 2, "den": 5}
+
+    @NO_DIGIT_LIMIT
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refuses_a_degree_it_cannot_write(self, capsys, tmp_path, fmt):
+        theory = tmp_path / "ascent.rfal"
+        theory.write_text(PRODUCT_ASCENT)
+        target = tmp_path / "oracle.txt"
+        code, out, err = run(capsys, "oracle", "--theory", str(theory), "--samples", "3",
+                             "--max-iter", "2200", "--format", fmt, "--output", str(target),
+                             "{} => {p:1}")
+        assert (code, out) == (2, "")
+        assert err == ("refusing to write: the sampling result needs a 14578-bit integer, "
+                       "over the 4300-digit limit for writing integers\n")
+        assert not target.exists()
 
     def test_requires_a_mode(self, capsys, worked_file):
         code, _, err = run(capsys, "oracle", "--theory", str(worked_file), "{} => {}")

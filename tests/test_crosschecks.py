@@ -11,6 +11,7 @@ and the engine against exhaustive enumeration of every tiny theory.
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -18,7 +19,6 @@ import pytest
 
 from rfal import (
     Algebra,
-    ClosureTrace,
     EngineLimits,
     FuzzySet,
     GridSpec,
@@ -155,6 +155,50 @@ def dense_step(alg, theory, e):
     return FuzzySet(merged), tuple(firings), changed
 
 
+@dataclass(frozen=True)
+class DenseTrace:
+    """Every step's evaluation and every rule's degree at it."""
+
+    start: FuzzySet
+    steps: tuple
+    firing_log: tuple
+    reached_fixpoint: bool
+
+    @property
+    def iterations(self):
+        return len(self.steps)
+
+    @property
+    def final(self):
+        return self.steps[-1] if self.steps else self.start
+
+    @property
+    def penultimate(self):
+        return self.steps[-2] if len(self.steps) > 1 else self.start
+
+
+def assert_same_run(theory, trace, reference):
+    """The engine's trace equals the dense reference field by field, and each
+    of its rounds stores the degrees of the rules its first step fired: every
+    rule at first, after that those watching a variable the step before
+    raised."""
+    assert trace.steps == reference.steps
+    assert trace.firing_log == reference.firing_log
+    assert trace.iterations == reference.iterations
+    assert trace.reached_fixpoint is reference.reached_fixpoint
+    assert trace.final == reference.final
+    assert trace.penultimate == reference.penultimate
+    chain = (reference.start,) + reference.steps
+    done = 0
+    for r in trace.rounds:
+        due = range(len(theory.rules))
+        if done:
+            raised = {var for var, d in chain[done].items() if d != chain[done - 1].degree(var)}
+            due = [i for i in due if raised.intersection(theory.rules[i].antecedent.support())]
+        assert [index for index, _ in r.firings] == list(due)
+        done += r.count
+
+
 def dense_least_model(alg, theory, e, limits=EngineLimits()):
     """The least-model loop with no rule index: every rule at every step."""
     steps, log = [], []
@@ -162,9 +206,9 @@ def dense_least_model(alg, theory, e, limits=EngineLimits()):
     while True:
         nxt, firings, changed = dense_step(alg, theory, current)
         if not changed:
-            return ClosureTrace(e, tuple(steps), tuple(log), True)
+            return DenseTrace(e, tuple(steps), tuple(log), True)
         if len(steps) >= limits.max_iterations:
-            return ClosureTrace(e, tuple(steps), tuple(log), False)
+            return DenseTrace(e, tuple(steps), tuple(log), False)
         steps.append(nxt)
         log.append(firings)
         current = nxt
@@ -183,9 +227,7 @@ class TestSemiNaiveAgainstDenseLoop:
             for limits in (EngineLimits(), EngineLimits(1), EngineLimits(2), EngineLimits(3)):
                 trace = least_model(alg, theory, start, limits)
                 reference = dense_least_model(alg, theory, start, limits)
-                assert trace.steps == reference.steps
-                assert trace.firing_log == reference.firing_log
-                assert trace.reached_fixpoint is reference.reached_fixpoint
+                assert_same_run(theory, trace, reference)
                 capped += not trace.reached_fixpoint
         assert capped > 50  # the caps cut real runs short
 
@@ -237,13 +279,7 @@ class TestJumpsAgainstDenseLoop:
             for limits in caps:
                 trace = least_model(alg, theory, start, limits)
                 reference = dense_least_model(alg, theory, start, limits)
-                assert trace.steps == reference.steps
-                assert trace.firing_log == reference.firing_log
-                assert trace.iterations == reference.iterations
-                assert trace.reached_fixpoint is reference.reached_fixpoint
-                assert trace.final == reference.final
-                assert trace.penultimate == (reference.steps[-2] if reference.iterations > 1
-                                             else reference.start)
+                assert_same_run(theory, trace, reference)
         assert jumped >= 100 and inside >= 100
 
     @pytest.mark.parametrize("alg, rules", [
@@ -261,9 +297,7 @@ class TestJumpsAgainstDenseLoop:
     def test_a_dip_between_two_setters_ends_the_run(self, alg, rules):
         theory = Theory(tuple(imp(a, b) for a, b in rules), alg)
         trace = least_model(alg, theory, FuzzySet())
-        reference = dense_least_model(alg, theory, FuzzySet())
-        assert trace.steps == reference.steps
-        assert trace.firing_log == reference.firing_log
+        assert_same_run(theory, trace, dense_least_model(alg, theory, FuzzySet()))
         assert len(trace.rounds) < trace.iterations
 
 
@@ -324,9 +358,7 @@ class TestScaledEncodingsAgainstDenseLoop:
             for limits in (EngineLimits(), EngineLimits(1), EngineLimits(2), EngineLimits(3)):
                 trace = least_model(alg, theory, start, limits)
                 reference = dense_least_model(alg, theory, start, limits)
-                assert trace.steps == reference.steps
-                assert trace.firing_log == reference.firing_log
-                assert trace.reached_fixpoint is reference.reached_fixpoint
+                assert_same_run(theory, trace, reference)
                 capped += not trace.reached_fixpoint
         assert sides == {(alg, below) for alg in (L, P, G) for below in (True, False)}
         assert empty_antecedents > 50 and foreign_start > 50 and capped > 50

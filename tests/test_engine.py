@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from rfal import (
     is_model,
     least_model,
     meet,
+    parse_implication,
+    parse_theory,
     provability_degree,
     residuum,
     scalar_multiple,
@@ -304,6 +307,27 @@ class TestStress:
         trace = least_model(alg, theory, FuzzySet())
         assert (trace.final, trace.iterations, trace.reached_fixpoint) == (fs(p="1"), steps, True)
         assert len(trace.rounds) <= 6
+
+    def test_many_idle_rules_do_not_grow_the_trace_per_step(self):
+        # p and q climb on alternate steps, so no two steps match and all
+        # 10,000 steps of the default cap run as rounds of one step, while
+        # 8,000 rules that never fire sit beside them (182 KB of text); a
+        # round that kept every rule's degree would hold 80 million of them,
+        # over 600 MB
+        lines = ["algebra lukasiewicz", "{} => {p:2/20000}",
+                 "{p:19999/20000} => {q:1}", "{q:19999/20000} => {p:1}"]
+        lines += [f"{{x{i}:1}} => {{y{i}:1}}" for i in range(8000)]
+        theory = parse_theory("\n".join(lines))
+        query = parse_implication("{} => {p:1}")
+        tracemalloc.start()
+        try:
+            degree, trace = provability_degree(L, theory, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (degree, trace.iterations, len(trace.rounds)) == (Fraction(1, 2), 10_000, 10_000)
+        assert not trace.reached_fixpoint
+        assert peak < 64 * 2**20
 
     def test_wide_random_theory_converges(self):
         rng = random.Random(43)
