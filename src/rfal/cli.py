@@ -5,7 +5,8 @@ Exit codes are part of the stable interface:
 
     0  success
     1  parse or input error (position-reported where applicable)
-    2  iteration cap hit (result is a lower bound) or certificate refused
+    2  iteration cap hit (result is a lower bound), or a certificate, result
+       or trace refused
     3  proof certificate rejected
 
 `RFAL_MAX_ITER` mirrors `--max-iter`; the flag wins when both are set.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -53,6 +55,12 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_LOWER_BOUND = 2
 EXIT_REJECT = 3
+
+# Most entries, evaluation entries and firings together, that `closure
+# --trace` writes: about 25 MB of JSON.  The dense trace has one entry per
+# rule per step, so a small theory with many rules and a long run would
+# otherwise write gigabytes.
+MAX_TRACE_ENTRIES = 200_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,6 +239,11 @@ def _cmd_closure(args) -> int:
     start = parse_set(args.start)
     trace = least_model(theory.algebra, theory, start, _limits(args))
     if args.trace:
+        entries = sum(r.count * (len(r.first) + len(theory)) for r in trace.rounds)
+        if entries > MAX_TRACE_ENTRIES:
+            print(f"refusing to write: the trace has {entries} entries, over the "
+                  f"{MAX_TRACE_ENTRIES}-entry limit for --trace", file=sys.stderr)
+            return EXIT_LOWER_BOUND
         what = "trace"
         degrees = [q for step in (trace.start,) + trace.steps for _, q in step.items()]
         degrees += [c for firings in trace.firing_log for _, c in firings]
@@ -414,6 +427,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # A command builds many containers and leaves almost no cycles behind, so
+    # the cyclic collector's passes over them would find nothing to free.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (UndecidedError, SynthesisError) as exc:  # before ValueError: SynthesisError is one
@@ -422,6 +439,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -11,13 +11,27 @@ propositional variables.  Theory files are line oriented:
 The graded form `(A => B) @ d` is sugar for the plain rule whose consequent is
 the d-multiple of B under the theory's algebra; a single such rule subsumes
 the whole family of weaker graded variants.
+
+A theory is stored as its rule table: for each rule, the entries of its
+antecedent and consequent as `(variable, degree, numerator, denominator)`,
+zero degrees left out, together with the set of denominators they use.  The
+engine reads the table as it is; the `Implication` views of the rules, which
+proofs, the oracle and serialization read, are built on first access.
+
+`parse_theory` reads a plain rule line, `SET => SET` with an optional
+comment, in one step: one regex, built from the set-literal grammar, matches
+the whole line, and one `findall` per set reads its entries into the table,
+each distinct degree literal being decoded once per parse.  Every other line
+goes to the character scanner: the header, graded rules, and any line with a
+duplicate variable or a literal that names no degree, so that every error is
+reported by the scanner, with its position.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import _RATIONAL_TEXT, Algebra, ONE, ZERO, brief, rational_from_match, residuum
@@ -63,29 +77,67 @@ class Implication:
         return self.to_text()
 
 
-@dataclass(frozen=True)
+# One entry of a rule table: (variable, degree, numerator, denominator).
+Entry = tuple[str, Fraction, int, int]
+
+
+def _entries(fuzzy_set: FuzzySet) -> tuple[Entry, ...]:
+    return tuple((var, q, q.numerator, q.denominator) for var, q in fuzzy_set.items())
+
+
+def _view(entries) -> FuzzySet:
+    return FuzzySet._raw({var: q for var, q, _, _ in entries})
+
+
 class Theory:
     """Finite ordered list of rules plus the algebra they are read under.
 
-    Rule order is preserved for deterministic output; entailment does not
-    depend on it.
+    `table` holds each rule as (antecedent entries, consequent entries) and
+    `denominators` the denominators of all of them; `rules` holds the same
+    rules as `Implication`s, built from the table on first access, or the
+    rules the theory was constructed from.  Rule order is preserved for
+    deterministic output; entailment does not depend on it.
     """
 
-    rules: tuple[Implication, ...]
-    algebra: Algebra
-    name: str | None = field(default=None, compare=False)
+    __slots__ = ("table", "denominators", "algebra", "name", "_rules")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
+    def __init__(self, rules, algebra: Algebra, name: str | None = None):
+        self._rules = tuple(rules)
+        self.table = tuple((_entries(r.antecedent), _entries(r.consequent)) for r in self._rules)
+        self.denominators = frozenset(entry[3] for sides in self.table for side in sides
+                                      for entry in side)
+        self.algebra, self.name = algebra, name
+
+    @classmethod
+    def _from_table(cls, table, denominators, algebra: Algebra) -> "Theory":
+        theory = object.__new__(cls)
+        theory.table, theory.denominators = tuple(table), frozenset(denominators)
+        theory.algebra, theory.name, theory._rules = algebra, None, None
+        return theory
+
+    @property
+    def rules(self) -> tuple[Implication, ...]:
+        if self._rules is None:
+            self._rules = tuple(Implication(_view(a), _view(c)) for a, c in self.table)
+        return self._rules
 
     def variables(self) -> tuple[str, ...]:
-        seen: set[str] = set()
-        for rule in self.rules:
-            seen |= rule.variables()
-        return tuple(sorted(seen))
+        return tuple(sorted({entry[0] for sides in self.table for side in sides
+                             for entry in side}))
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self.table)
+
+    def __eq__(self, other) -> bool:  # the name is not part of equality
+        if not isinstance(other, Theory):
+            return NotImplemented
+        return self.algebra is other.algebra and self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash((self.rules, self.algebra))
+
+    def __repr__(self) -> str:
+        return f"Theory(rules={self.rules!r}, algebra={self.algebra!r}, name={self.name!r})"
 
 
 def truth_degree(alg: Algebra, formula: Implication, e: Evaluation) -> Fraction:
@@ -286,6 +338,41 @@ def _scan_header(sc: _Scanner) -> Algebra:
     return _ALGEBRA_NAMES[name]
 
 
+# A whole plain rule line, `SET => SET` with an optional comment.
+_RULE_LINE = re.compile(
+    rf"({_SET_LITERAL.pattern})[ \t]*=>({_SET_LITERAL.pattern})[ \t]*(?:#.*)?")
+
+
+def _rule_side(pairs, degrees: dict, denominators: set) -> tuple[Entry, ...] | None:
+    """The table entries of one set literal the rule-line regex matched, from
+    its `findall` pairs; None when the scanner must read the line.
+
+    `degrees` maps each degree literal of the parse to its (degree,
+    numerator, denominator), or to None when it names no degree; the
+    denominator of a nonzero literal joins `denominators` when it is first
+    read.
+    """
+    entries = []
+    zeros = False
+    for name, literal in pairs:
+        degree = degrees.get(literal, degrees)  # the memo itself marks a new literal
+        if degree is degrees:
+            q = _literal_degree(literal)
+            degree = degrees[literal] = None if q is None else (q, q.numerator, q.denominator)
+            if q:
+                denominators.add(q.denominator)
+        if degree is None:
+            return None
+        entries.append((sys.intern(name), *degree))
+        if degree[0] is ZERO:
+            zeros = True
+    if len(entries) > 1 and len({entry[0] for entry in entries}) < len(entries):
+        return None  # a duplicate variable
+    if zeros:
+        return tuple(entry for entry in entries if entry[1] is not ZERO)
+    return tuple(entries)
+
+
 def parse_theory(text: str, algebra_override: Algebra | None = None) -> Theory:
     """Parse a theory file.
 
@@ -293,18 +380,36 @@ def parse_theory(text: str, algebra_override: Algebra | None = None) -> Theory:
     graded rule is desugared, so the override affects rule degrees too.
     """
     algebra: Algebra | None = None
-    rules: list[Implication] = []
-    for sc in _lines(text):
+    table: list = []
+    denominators: set[int] = set()
+    degrees: dict = {}  # the rule-line memo (see _rule_side)
+    literals: dict = {}  # the scanner's memo
+    rule_line, set_entries = _RULE_LINE.fullmatch, _SET_ENTRY.findall
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if algebra is not None:
+            m = rule_line(raw)
+            if m is not None:
+                sides = (_rule_side(set_entries(raw, 0, m.end(1)), degrees, denominators),
+                         _rule_side(set_entries(raw, m.start(2), m.end(2)), degrees, denominators))
+                if None not in sides:
+                    table.append(sides)
+                    continue
+        sc = _Scanner(raw.partition("#")[0], line_no, literals)
+        if sc.at_end():
+            continue
         if algebra is None:
             declared = _scan_header(sc)
             algebra = algebra_override or declared
             continue
-        rules.append(_scan_rule(sc, algebra))
+        rule = _scan_rule(sc, algebra)
         if not sc.at_end():
             raise sc.error("unexpected text after the rule")
+        sides = (_entries(rule.antecedent), _entries(rule.consequent))
+        denominators.update(entry[3] for side in sides for entry in side)
+        table.append(sides)
     if algebra is None:
         raise ParseError("missing 'algebra' header line", 1, 1)
-    return Theory(tuple(rules), algebra)
+    return Theory._from_table(table, denominators, algebra)
 
 
 def file_header_algebra(text: str) -> str | None:

@@ -37,6 +37,15 @@ DUPLICATE_KEY_CERTIFICATE = (
 )
 
 
+# p and q climb on alternate steps, so no two steps match and all 10,000
+# steps of the default cap run as rounds of one step, while 8,000 rules that
+# never fire sit beside them: 182 KB of text.  `{} => {p:1}` has degree 1/2
+# at the cap.
+IDLE_RULES_PROBE = "\n".join(
+    ["algebra lukasiewicz", "{} => {p:2/20000}", "{p:19999/20000} => {q:1}",
+     "{q:19999/20000} => {p:1}"] + [f"{{x{i}:1}} => {{y{i}:1}}" for i in range(8000)])
+
+
 def fs(entries=None, **kwargs):
     """Build a fuzzy set from string degrees: fs(p='1/2', q='1')."""
     merged = dict(entries or {})

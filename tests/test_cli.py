@@ -1,16 +1,24 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from rfal import parse_implication, parse_theory, provability_degree, synthesize_proof
 from rfal.algebra import rational_from_json, rational_to_json
+from rfal import cli
 from rfal.cli import main
 
-from conftest import DEEP_ANTE_CERTIFICATE, DUPLICATE_KEY_CERTIFICATE, PADDED_RATIONAL_CERTIFICATE
+from conftest import (
+    DEEP_ANTE_CERTIFICATE,
+    DUPLICATE_KEY_CERTIFICATE,
+    IDLE_RULES_PROBE,
+    PADDED_RATIONAL_CERTIFICATE,
+)
 
 WORKED = "algebra lukasiewicz\n{p:1} => {q:0.8}\n{q:3/5} => {r:9/10}\n"
 PRODUCT = "algebra product\n{p:1/2} => {q:4/5}\n"
@@ -204,6 +212,36 @@ class TestClosure:
         assert err == (f"refusing to write: the {what} needs a {bits}-bit integer, "
                        "over the 4300-digit limit for writing integers\n")
         assert not target.exists()
+
+    def test_refuses_a_trace_over_the_entry_budget(self, capsys, tmp_path):
+        # 10,000 steps of 8,003 rules: the dense trace would hold 80 million
+        # entries, so it is refused before any of it is built
+        theory = tmp_path / "probe.rfal"
+        theory.write_text(IDLE_RULES_PROBE)
+        target = tmp_path / "trace.json"
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "closure", "--theory", str(theory), "--trace",
+                                 "--output", str(target), "{}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("refusing to write: the trace has 80050000 entries, "
+                       "over the 200000-entry limit for --trace\n")
+        assert not target.exists()
+        assert peak < 64 * 2**20
+
+    def test_writes_a_long_trace_within_the_budget(self, capsys, tmp_path):
+        # the lukasiewicz n = 9,835 ascent: 9,835 steps of 3 entries each
+        theory = tmp_path / "ascent.rfal"
+        theory.write_text("algebra lukasiewicz\n{} => {p:1/9835}\n{p:9834/9835} => {p:1}\n")
+        code, out, _ = run(capsys, "closure", "--theory", str(theory), "--trace", "{}")
+        trace = json.loads(out)
+        assert (code, trace["iterations"], len(trace["steps"])) == (0, 9835, 9835)
+        assert trace["steps"][-1]["evaluation"] == {"p": {"num": 1, "den": 1}}
+        entries = sum(len(s["evaluation"]) + len(s["firings"]) for s in trace["steps"])
+        assert entries == 3 * 9835 <= cli.MAX_TRACE_ENTRIES
 
     def test_cap_warning_names_at_most_three_variables(self, capsys, tmp_path):
         path = tmp_path / "wide.rfal"
@@ -481,6 +519,47 @@ class TestUsageErrors:
         assert exit_code == code
         assert message in err
         assert "Traceback" not in err
+
+
+class TestCyclicCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_pauses_and_restores_the_callers_setting(
+            self, capsys, monkeypatch, tmp_path, worked_file, product_file, enabled):
+        cert = tmp_path / "proof.json"
+        assert run(capsys, "prove", "--theory", str(worked_file), "--output", str(cert),
+                   "{p:1} => {r:1}")[0] == 0
+        during = []
+
+        def watched(*args):
+            during.append(gc.isenabled())
+            return provability_degree(*args)
+
+        monkeypatch.setattr(cli, "provability_degree", watched)
+        calls = [
+            (0, ["degree", "--theory", str(worked_file), "{p:1} => {r:1}"]),
+            (1, ["degree", "--theory", str(tmp_path / "nope"), "{} => {}"]),
+            (1, ["degree", "--theory", str(worked_file), "{p:1} => {r:"]),
+            (1, ["frobnicate"]),
+            (2, ["degree", "--theory", str(worked_file), "--max-iter", "1", "{p:1} => {r:1}"]),
+            (3, ["check-proof", "--theory", str(product_file), str(cert)]),
+        ]
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            for code, argv in calls:
+                assert run(capsys, *argv)[0] == code
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert during == [False, False]
+
+    def test_a_command_leaves_few_cycles_behind(self, capsys, tmp_path):
+        theory = tmp_path / "probe.rfal"
+        theory.write_text(IDLE_RULES_PROBE)
+        gc.collect()
+        code, _, _ = run(capsys, "degree", "--theory", str(theory), "{} => {p:1}")
+        assert code == 2
+        assert gc.collect() < 200
 
 
 def test_console_entry_point_runs(tmp_path):

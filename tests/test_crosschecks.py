@@ -4,8 +4,9 @@ Each test here pits a load-bearing implementation choice against an
 independent, obviously-correct (if slow) alternative: the deterministic cut
 matcher against an existential search over all decompositions, the
 simultaneous fixpoint iteration against sequential rule-at-a-time iteration,
-the semi-naive closure loop, in both of its encodings and with its jumps
-along slow ascents, against a dense loop that fires every rule at every step,
+the semi-naive closure loop, in each of its encodings, with its jumps along
+slow ascents, and on rule tables both built from `Implication`s and parsed
+from text, against a dense loop that fires every rule at every step,
 and the engine against exhaustive enumeration of every tiny theory.
 """
 
@@ -26,9 +27,11 @@ from rfal import (
     Theory,
     is_model,
     least_model,
+    parse_theory,
     provability_degree,
     scalar_multiple,
     semantic_degree_grid,
+    serialize_theory,
     subsethood,
     tnorm,
     truth_degree,
@@ -199,6 +202,12 @@ def assert_same_run(theory, trace, reference):
         done += r.count
 
 
+def as_built_and_parsed(theory):
+    """The theory as built from `Implication`s, and its rule table as the
+    parser builds it from the theory's text."""
+    return theory, parse_theory(serialize_theory(theory))
+
+
 def dense_least_model(alg, theory, e, limits=EngineLimits()):
     """The least-model loop with no rule index: every rule at every step."""
     steps, log = [], []
@@ -225,9 +234,10 @@ class TestSemiNaiveAgainstDenseLoop:
             theory = random_theory(rng, alg, variables[:width], max_rules=20, max_denominator=8)
             start = random_evaluation(rng, variables[:width], max_denominator=8, fill=0.3)
             for limits in (EngineLimits(), EngineLimits(1), EngineLimits(2), EngineLimits(3)):
-                trace = least_model(alg, theory, start, limits)
                 reference = dense_least_model(alg, theory, start, limits)
-                assert_same_run(theory, trace, reference)
+                for subject in as_built_and_parsed(theory):
+                    trace = least_model(alg, subject, start, limits)
+                    assert_same_run(subject, trace, reference)
                 capped += not trace.reached_fixpoint
         assert capped > 50  # the caps cut real runs short
 
@@ -277,9 +287,9 @@ class TestJumpsAgainstDenseLoop:
                     break
                 done += r.count
             for limits in caps:
-                trace = least_model(alg, theory, start, limits)
                 reference = dense_least_model(alg, theory, start, limits)
-                assert_same_run(theory, trace, reference)
+                for subject in as_built_and_parsed(theory):
+                    assert_same_run(subject, least_model(alg, subject, start, limits), reference)
         assert jumped >= 100 and inside >= 100
 
     @pytest.mark.parametrize("alg, rules", [
@@ -296,9 +306,11 @@ class TestJumpsAgainstDenseLoop:
     ])
     def test_a_dip_between_two_setters_ends_the_run(self, alg, rules):
         theory = Theory(tuple(imp(a, b) for a, b in rules), alg)
-        trace = least_model(alg, theory, FuzzySet())
-        assert_same_run(theory, trace, dense_least_model(alg, theory, FuzzySet()))
-        assert len(trace.rounds) < trace.iterations
+        reference = dense_least_model(alg, theory, FuzzySet())
+        for subject in as_built_and_parsed(theory):
+            trace = least_model(alg, subject, FuzzySet())
+            assert_same_run(subject, trace, reference)
+            assert len(trace.rounds) < trace.iterations
 
 
 def grid_side(alg, theory, start):
@@ -332,8 +344,8 @@ def random_case(rng, alg, variables, pool, start_pool):
 
 class TestScaledEncodingsAgainstDenseLoop:
     """Scaled integers on the 1/D grid (Lukasiewicz and Goedel up to
-    MAX_GRID_BITS) and Fractions (product, and any larger D) against the
-    dense Fraction loop."""
+    MAX_GRID_BITS), Fractions (any larger D) and (numerator, denominator)
+    pairs (product) against the dense Fraction loop."""
 
     def test_traces_agree_on_both_sides_of_the_bound(self):
         rng = random.Random(75)
@@ -351,14 +363,16 @@ class TestScaledEncodingsAgainstDenseLoop:
                 start_pool = [13, 17, 19, 23]
             theory, start = random_case(rng, alg, variables, pool, start_pool)
             d, grid = grid_side(alg, theory, start)
-            assert grid_denominator(alg, theory, start) == grid
+            subjects = as_built_and_parsed(theory)
+            assert [grid_denominator(alg, subject, start) for subject in subjects] == [grid, grid]
             sides.add((alg, d.bit_length() <= MAX_GRID_BITS))
             empty_antecedents += any(not rule.antecedent for rule in theory.rules)
             foreign_start += any(degree.denominator in start_pool for _, degree in start.items())
             for limits in (EngineLimits(), EngineLimits(1), EngineLimits(2), EngineLimits(3)):
-                trace = least_model(alg, theory, start, limits)
                 reference = dense_least_model(alg, theory, start, limits)
-                assert_same_run(theory, trace, reference)
+                for subject in subjects:
+                    trace = least_model(alg, subject, start, limits)
+                    assert_same_run(subject, trace, reference)
                 capped += not trace.reached_fixpoint
         assert sides == {(alg, below) for alg in (L, P, G) for below in (True, False)}
         assert empty_antecedents > 50 and foreign_start > 50 and capped > 50

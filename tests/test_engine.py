@@ -26,7 +26,7 @@ from rfal import (
 )
 from rfal.oracle import random_evaluation, sample_models
 
-from conftest import fs, imp
+from conftest import IDLE_RULES_PROBE, fs, imp
 from harness import random_implication, random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
@@ -309,15 +309,9 @@ class TestStress:
         assert len(trace.rounds) <= 6
 
     def test_many_idle_rules_do_not_grow_the_trace_per_step(self):
-        # p and q climb on alternate steps, so no two steps match and all
-        # 10,000 steps of the default cap run as rounds of one step, while
-        # 8,000 rules that never fire sit beside them (182 KB of text); a
-        # round that kept every rule's degree would hold 80 million of them,
-        # over 600 MB
-        lines = ["algebra lukasiewicz", "{} => {p:2/20000}",
-                 "{p:19999/20000} => {q:1}", "{q:19999/20000} => {p:1}"]
-        lines += [f"{{x{i}:1}} => {{y{i}:1}}" for i in range(8000)]
-        theory = parse_theory("\n".join(lines))
+        # on this probe a round that kept every rule's degree would hold
+        # 80 million of them, over 600 MB
+        theory = parse_theory(IDLE_RULES_PROBE)
         query = parse_implication("{} => {p:1}")
         tracemalloc.start()
         try:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from rfal import (
     serialize_theory,
     truth_degree,
 )
+from rfal import logic
 from rfal.logic import file_header_algebra
 
 from conftest import fs, imp
@@ -311,3 +313,66 @@ def test_parser_outcomes_are_pinned():
                 text.insert(position, rng.choice(inserts))
         digest.update(_outcome(PINNED_HEADER + "".join(text)).encode() + b"\0")
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _random_theory_text(rng: random.Random) -> str:
+    """A theory text mixing plain and graded rule lines, comments, tabs,
+    blank lines, zero degrees, decimal and Unicode-digit literals, and now
+    and then a duplicate variable or a literal that names no degree."""
+    literals = ("1", "0", "0.5", "0.25", "1.0", "0.000", "1/2", "3/4", "2/8", "0/3", "5/10",
+                "\u0661/\u0662", "\uff13/\uff14", "0.\u0667", "7/5", "1/0")
+    blank = lambda: rng.choice(("", " ", "\t", " \t "))
+
+    def set_literal():
+        names = rng.sample("pqrst", rng.randint(0, 3))
+        if names and rng.random() < 0.05:
+            names.append(names[0])
+        weights = [10] * 14 + [1, 1]
+        entries = [f"{blank()}{name}{blank()}:{blank()}{rng.choices(literals, weights)[0]}"
+                   for name in names]
+        return blank() + "{" + ",".join(entries) + blank() + "}"
+
+    lines = [rng.choice(("", "# a comment", "\t")) for _ in range(rng.randint(0, 2))]
+    lines.append(f"{blank()}algebra {rng.choice(('lukasiewicz', 'product', 'goedel'))}")
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(("", "\t", "  # just a comment")))
+            continue
+        rule = f"{set_literal()}{blank()}=>{set_literal()}"
+        if roll < 0.3:
+            rule = f"({rule}){blank()}@{blank()}{rng.choice(literals[:13])}"
+        lines.append(rule + blank() + rng.choice(("", "", "# note", "#{p:1} => {q:1}")))
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def _parse_or_error(text: str):
+    try:
+        return parse_theory(text)
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+
+
+def test_rule_line_path_reads_what_the_scanner_reads(monkeypatch):
+    # the same texts parsed with and without the one-regex rule-line path:
+    # equal theories, equal tables up to entry order, equal denominators, or
+    # the same error at the same position
+    rng = random.Random(13)
+    texts = [_random_theory_text(rng) for _ in range(600)]
+    rule_lines = sum(logic._RULE_LINE.fullmatch(line) is not None
+                     for text in texts for line in text.splitlines())
+    fast = [_parse_or_error(text) for text in texts]
+    monkeypatch.setattr(logic, "_RULE_LINE", re.compile(r"(?!)"))
+    scanned = [_parse_or_error(text) for text in texts]
+    parsed = errors = 0
+    for text, a, b in zip(texts, fast, scanned):
+        if isinstance(b, tuple):
+            assert a == b, text
+            errors += 1
+            continue
+        assert a == b, text
+        assert [[sorted(side) for side in sides] for sides in a.table] == \
+            [[sorted(side) for side in sides] for sides in b.table], text
+        assert a.denominators == b.denominators, text
+        parsed += 1
+    assert parsed > 200 and errors > 100 and rule_lines > 2000
