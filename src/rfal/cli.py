@@ -331,9 +331,9 @@ def _cmd_oracle(args) -> int:
         text_lines.append(f"grid degree (k={args.grid_k}): {format_degree(degree)}")
 
     if args.samples is not None:
-        engine_degree, trace = provability_degree(theory.algebra, theory, query, limits)
         sampled = sample_models(theory.algebra, theory, query.antecedent,
                                 args.samples, args.seed, limits=limits)
+        engine_degree, trace = provability_degree(theory.algebra, theory, query, limits)
         truths = [truth_degree(theory.algebra, query, e) for e in sampled.models]
         violations = sum(1 for t in truths if t < engine_degree)
         minimum = min(truths, default=None)

@@ -5,10 +5,22 @@ of a theory on an equidistant rational subchain 0, 1/k, ..., 1.  For the
 Lukasiewicz algebra with all input degrees on the grid this is exact: the
 minimizing least model is itself grid-valued, so the oracle and the fixpoint
 engine must agree to the bit.  It walks the grid depth first on integers
-scaled by k and cuts every subtree in which some rule already fails, so it
-visits far fewer than the (k+1)^n points while returning the same minimum.
-It shares no code with the engine.  No such finite grid exists for the
-product algebra, where the oracle instead provides one-sided soundness
+scaled by k, read from the theory's rule table, and rests on two rules:
+
+- Interval rule: with the earlier variables fixed, the values of the next
+  variable x that satisfy every rule whose last variable is x form one
+  interval, whose ends have a closed form.  Each rule compares two minima of
+  terms, and only x's own terms move with x, so the rule fails exactly on a
+  prefix and a suffix of the grid.  The walk visits only that interval; every
+  point it skips breaks a rule, so no model is missed.
+- Endpoint rule: at the last variable every value of its interval gives a
+  model, and the query's truth there is monotone in that value, so it is
+  least at one of the two ends, the only values evaluated (the lower end
+  alone when that variable is not in the query's antecedent).
+
+So it visits far fewer than the (k+1)^n points while returning the same
+minimum.  It shares no code with the engine.  No such finite grid exists for
+the product algebra, where the oracle instead provides one-sided soundness
 bounds through seeded model sampling.
 """
 
@@ -21,7 +33,7 @@ from fractions import Fraction
 from .algebra import Algebra
 from .engine import DEFAULT_LIMITS, EngineLimits, least_model
 from .lsets import FuzzySet, check_var, union
-from .logic import Evaluation, Implication, Theory
+from .logic import Evaluation, Implication, Theory, _entries
 
 
 class OffGridError(ValueError):
@@ -46,14 +58,6 @@ class GridSpec:
         object.__setattr__(self, "variables", canon)
 
 
-def _input_degrees(theory: Theory, query: Implication):
-    for rule in theory.rules:
-        yield from (d for _, d in rule.antecedent.items())
-        yield from (d for _, d in rule.consequent.items())
-    yield from (d for _, d in query.antecedent.items())
-    yield from (d for _, d in query.consequent.items())
-
-
 def semantic_degree_grid(
     theory: Theory,
     query: Implication,
@@ -65,19 +69,38 @@ def semantic_degree_grid(
 
     Exactness holds for the Lukasiewicz algebra with every input degree a
     multiple of 1/k.  `budget` bounds the nominal grid size (k+1)^n, not the
-    number of points the pruned walk visits.
+    number of points the walk visits.
 
-    The walk runs on degrees scaled by k.  For a set X under the evaluation e,
-    s_X = min(k, min_x(k - X(x) + e(x))) is k times the subsethood S(X, e).
-    A rule A => B holds iff s_A <= s_B, that is, iff s_A + B(b) - k <= e(b)
-    for every b in B, and the query's truth is min(k, k - s_A + s_B).
+    The walk runs on degrees scaled by k and reads the rule table's integers.
+    For a set X under the evaluation e, s_X = min(k, min_x(t_x + e(x))), with
+    the term t_x = k - k*X(x), is k times the subsethood S(X, e).  A rule
+    A => B holds iff s_A <= s_B, and the query's truth is min(k, k - s_A + s_B).
 
-    Variables are assigned depth first in `spec.variables` order, each from
-    0 up to k.  Each rule is checked once on a path, as soon as the last
-    variable it mentions has its value (a rule without variables before the
-    walk).  A failed rule cuts the whole subtree: every evaluation in it
-    breaks that rule, so only non-models are skipped and the minimum over
-    the models stays the same.  The walk stops early at degree 0.
+    Variables are assigned depth first in `spec.variables` order.  Each rule
+    belongs to the depth of the last variable x it mentions.  With the earlier
+    variables fixed, let alpha and beta be the minima of k and the rule's
+    other antecedent and consequent terms, and a and b the terms of x in the
+    antecedent and the consequent (k where x does not occur).  At x = v the
+    rule reads min(alpha, a + v) <= min(beta, b + v), which holds iff
+
+        (alpha <= beta or v <= beta - a) and (a <= b or v >= alpha - b):
+
+    the left side is at most beta iff alpha <= beta or a + v <= beta, and at
+    most b + v iff alpha <= b + v or a <= b.  So the values of x that satisfy
+    every rule of its depth form one interval [lo, hi], lo a max and hi a min
+    over those rules.  The walk visits only that interval and backtracks when
+    it is empty; every point it skips breaks some rule, so the minimum over
+    the models stays the same.
+
+    At the last depth every value in [lo, hi] gives a model.  There s_B - s_A
+    is monotone in v: each side is v plus a constant up to its own bend and
+    constant after it, so the difference has slope 0 except between the two
+    bends, where its slope is +1 or -1 throughout.  The truth degree, a
+    monotone function of that difference, is therefore least at lo or at hi,
+    and only those two values are evaluated.  When x is not in the query's
+    antecedent, s_A is fixed and s_B cannot fall as v grows, so lo alone is
+    evaluated.  The walk stops early at degree 0.  It shares no code with the
+    engine.
     """
     if theory.algebra is not Algebra.LUKASIEWICZ:
         raise OffGridError("the grid oracle is exact only for the lukasiewicz algebra")
@@ -86,60 +109,83 @@ def semantic_degree_grid(
     if missing:
         raise OffGridError(f"grid variables do not cover: {sorted(missing)}")
     k = spec.denominator
-    for degree in _input_degrees(theory, query):
-        if k % degree.denominator != 0:
-            raise OffGridError(f"degree {degree} is not a multiple of 1/{k}")
+    query_sides = (_entries(query.antecedent), _entries(query.consequent))
+    if any(k % d for d in theory.denominators.union(
+            entry[3] for side in query_sides for entry in side)):
+        degree = next(entry[1] for sides in (*theory.table, query_sides) for side in sides
+                      for entry in side if k % entry[3])  # the first off the grid
+        raise OffGridError(f"degree {degree} is not a multiple of 1/{k}")
     n = len(spec.variables)
     total = (k + 1) ** n
     if total > budget:
         raise BudgetExceededError(f"{total} grid evaluations exceed the budget of {budget}")
+    if not n:
+        return Fraction(1)  # no variables: every rule and the query hold
 
     position = {var: i for i, var in enumerate(spec.variables)}
 
-    def terms(fuzzy_set: FuzzySet) -> list[tuple[int, int]]:
-        """(position of x, k - k*X(x)) for each x in the support."""
-        return [(position[x], k - int(k * d)) for x, d in fuzzy_set.items()]
+    def terms(entries) -> list[tuple[int, int]]:
+        """(position of x, k - k*X(x)) for each entry of a set."""
+        return [(position[var], k - num * (k // den)) for var, _, num, den in entries]
 
-    # checks[m]: the rules to check once m variables are assigned, those
-    # whose last variable is the m-th
-    checks: list[list] = [[] for _ in range(n + 1)]
-    for rule in theory.rules:
-        ante, cons = terms(rule.antecedent), terms(rule.consequent)
-        last = max((i for i, _ in ante + cons), default=-1)
-        checks[last + 1].append((ante, cons))
-    query_ante, query_cons = terms(query.antecedent), terms(query.consequent)
+    def split(ante, cons, x):
+        """The terms (position, t) of the variables other than the x-th in the
+        antecedent, x's term there, and the same for the consequent."""
+        return ([term for term in ante if term[0] != x], next((t for i, t in ante if i == x), k),
+                [term for term in cons if term[0] != x], next((t for i, t in cons if i == x), k))
+
+    # checks[m]: the rules whose last variable is the m-th
+    checks: list[list] = [[] for _ in range(n)]
+    for sides in theory.table:
+        ante, cons = map(terms, sides)
+        if ante or cons:  # a rule without variables always holds
+            x = max(i for i, _ in ante + cons)
+            checks[x].append(split(ante, cons, x))
+    last = n - 1
+    q_ante, q_a, q_cons, q_b = split(*map(terms, query_sides), last)
 
     e = [0] * n
+    top = [0] * n  # top[m]: the last value of the m-th variable's interval
 
-    def s(x_terms) -> int:
-        low = k
-        for i, c in x_terms:
-            if c + e[i] < low:
-                low = c + e[i]
-        return low
+    def low(side) -> int:
+        s = k
+        for i, t in side:
+            if t + e[i] < s:
+                s = t + e[i]
+        return s
 
-    def holds(assigned: int) -> bool:
-        return all(s(ante) <= s(cons) for ante, cons in checks[assigned])
-
-    best = k  # truth degree 1, also the answer when no point is a model
-    depth = 0  # variables assigned; e[depth - 1] is the deepest one
-    ok = holds(0)
+    best = k  # truth degree 1
+    depth = 0  # e[depth] is the next variable to assign
     while True:
-        if ok and depth < n:  # descend: the next variable starts at 0
-            e[depth] = 0
-            depth += 1
-            ok = holds(depth)
-            continue
-        if ok:  # a model: every variable assigned, every rule checked
-            best = min(best, k - s(query_ante) + s(query_cons))
-            if best == 0:
-                break
-        while depth and e[depth - 1] == k:  # backtrack past exhausted values
+        lo, hi = 0, k
+        for ante, a, cons, b in checks[depth]:
+            alpha, beta = low(ante), low(cons)
+            if alpha > beta and beta - a < hi:
+                hi = beta - a
+            if a > b and alpha - b > lo:
+                lo = alpha - b
+        if lo <= hi:
+            if depth < last:  # descend into the interval's first value
+                e[depth], top[depth] = lo, hi
+                depth += 1
+                continue
+            # every v in [lo, hi] gives a model; the truth, here not yet
+            # capped at k, is least at an end
+            alpha, beta = low(q_ante), low(q_cons)
+            truth = k - min(alpha, q_a + lo) + min(beta, q_b + lo)
+            if hi > lo and q_a < k:  # else s_A is fixed and s_B only grows
+                truth = min(truth, k - min(alpha, q_a + hi) + min(beta, q_b + hi))
+            if truth < best:
+                best = truth
+                if best == 0:
+                    break
+        depth -= 1  # backtrack past exhausted intervals
+        while depth >= 0 and e[depth] == top[depth]:
             depth -= 1
-        if not depth:
+        if depth < 0:
             break
-        e[depth - 1] += 1
-        ok = holds(depth)
+        e[depth] += 1
+        depth += 1
     return Fraction(best, k)
 
 
@@ -191,6 +237,8 @@ def sample_models(
     theory's variable universe, so the postcondition that each returned
     evaluation is a model holds by construction.
     """
+    if count < 0:
+        raise ValueError(f"the sample count must not be negative, got {count}")
     rng = random.Random(seed)
     universe = sorted(set(theory.variables()) | set(base.support()))
     models: list[Evaluation] = []

@@ -107,6 +107,24 @@ def test_pavelka_completeness_on_five_variables():
     report("pavelka-completeness-grid-5vars", f"50/50 exact matches, {elapsed:.1f}s")
 
 
+def test_pavelka_completeness_on_six_variables():
+    # 80 theories of up to 8 rules over 6 variables on the 1/6 grid
+    elapsed = completeness_on_the_grid(113, 6, ("a", "b", "c", "d", "e", "f"), 8, 80)
+    report("pavelka-completeness-grid-6vars", f"80/80 exact matches, {elapsed:.1f}s")
+
+
+def test_pavelka_completeness_on_a_4000_grid():
+    # two variables, 4001^2 nominal grid points; the walk computes one
+    # interval of q per feasible value of p
+    started = time.monotonic()
+    theory = Theory((imp({}, {"p": "1/2"}),), L)
+    query = imp({"p": "1/2"}, {"q": "1/4"})
+    oracle = semantic_degree_grid(theory, query, GridSpec(4000, ("p", "q")))
+    engine, _ = run_degree(L, theory, query)
+    assert engine == oracle == Fraction(3, 4)
+    report("pavelka-completeness-grid-k4000", f"1/1 exact match, {time.monotonic() - started:.1f}s")
+
+
 def test_degree_law_suites():
     # c-shift equality, finite-union equality, and transitivity inequality,
     # 1000 random instances each, per algebra

@@ -466,6 +466,36 @@ class TestOracle:
                        "over the 4300-digit limit for writing integers\n")
         assert not target.exists()
 
+    def test_grid_mode_reads_the_rule_table_only(self, capsys, monkeypatch, worked_file):
+        parsed = []
+
+        def parse_and_keep(*args, **kwargs):
+            parsed.append(parse_theory(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_theory", parse_and_keep)
+        code, out, _ = run(capsys, "oracle", "--theory", str(worked_file), "--grid-k", "10",
+                           "{p:1} => {r:1}")
+        assert (code, out) == (0, "grid degree (k=10): 9/10 = 0.9\n")
+        assert len(parsed) == 1 and parsed[0]._rules is None
+
+    def test_negative_sample_count_is_refused(self, capsys, worked_file):
+        code, out, err = run(capsys, "oracle", "--theory", str(worked_file), "--samples", "-1",
+                             "{p:1} => {r:1}")
+        assert (code, out) == (1, "")
+        assert err == "error: the sample count must not be negative, got -1\n"
+
+    def test_zero_samples(self, capsys, worked_file):
+        code, out, _ = run(capsys, "oracle", "--theory", str(worked_file), "--samples", "0",
+                           "{p:1} => {r:1}")
+        assert code == 0
+        assert out.splitlines() == [
+            "engine degree: 9/10 = 0.9",
+            "samples: 0 (skipped 0)",
+            "soundness violations: 0",
+            "truth degree at the fixpoint witness: 9/10 = 0.9",
+        ]
+
     def test_requires_a_mode(self, capsys, worked_file):
         code, _, err = run(capsys, "oracle", "--theory", str(worked_file), "{} => {}")
         assert code == 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from rfal import (
     is_contained,
     is_model,
     least_model,
+    parse_theory,
     provability_degree,
     sample_models,
     semantic_degree_grid,
@@ -81,6 +83,23 @@ class TestGridOracle:
         degree = semantic_degree_grid(theory, imp({}, {names[-1]: "1"}), spec, budget=2 ** 1500)
         assert degree == 0
 
+    def test_reads_the_rule_table_only(self):
+        theory = parse_theory("algebra lukasiewicz\n{p:1} => {q:4/5}\n{q:3/5} => {r:9/10}\n")
+        spec = GridSpec(10, ("p", "q", "r"))
+        assert semantic_degree_grid(theory, imp({"p": "1"}, {"r": "1"}), spec) == Fraction(9, 10)
+        assert theory._rules is None
+
+    def test_names_the_first_degree_off_the_grid(self):
+        theory = parse_theory("algebra lukasiewicz\n{p:1} => {q:1/2}\n{q:1/3} => {r:1/5}\n")
+        spec = GridSpec(2, ("p", "q", "r"))
+        with pytest.raises(OffGridError, match=r"^degree 1/3 is not a multiple of 1/2$"):
+            semantic_degree_grid(theory, imp({"p": "1/4"}, {"r": "1"}), spec)
+        spec = GridSpec(6, ("p", "q", "r"))
+        with pytest.raises(OffGridError, match=r"^degree 1/5 is not a multiple of 1/6$"):
+            semantic_degree_grid(theory, imp({"p": "1/4"}, {"r": "1"}), spec)
+        with pytest.raises(OffGridError, match=r"^degree 1/4 is not a multiple of 1/30$"):
+            semantic_degree_grid(theory, imp({"p": "1/4"}, {"r": "1"}), GridSpec(30, spec.variables))
+
     def test_refining_the_grid_never_raises_the_degree(self):
         rng = random.Random(61)
         vars_ = ("p", "q")
@@ -101,6 +120,45 @@ class TestGridOracle:
             engine, trace = provability_degree(L, theory, query)
             assert trace.reached_fixpoint
             assert oracle == engine
+
+
+class TestWalkRules:
+    """The two facts the grid walk rests on, checked on bare integers.
+
+    Degrees are scaled by k.  A rule whose last variable is x compares
+    min(alpha, a + v) with min(beta, b + v) at x = v, where alpha and beta
+    stand for its other antecedent and consequent terms and a, b for x's own.
+    """
+
+    def test_interval_rule(self):
+        # the rule holds at v iff (alpha <= beta or v <= beta - a) and
+        # (a <= b or v >= alpha - b); (k+1)^5 cases for each k = 1..7
+        cases = 0
+        for k in range(1, 8):
+            grid = range(k + 1)
+            for alpha, beta, a, b in itertools.product(grid, repeat=4):
+                for v in grid:
+                    holds = min(alpha, a + v) <= min(beta, b + v)
+                    closed_form = ((alpha <= beta or v <= beta - a)
+                                   and (a <= b or v >= alpha - b))
+                    assert holds == closed_form, (k, alpha, beta, a, b, v)
+                    cases += 1
+        assert cases == 61_775
+
+    def test_endpoint_rule(self):
+        # the query's truth min(k, k - s_A + s_B) is least over any interval
+        # [lo, hi] of values at lo or at hi, and at lo when x is not in the
+        # query's antecedent (a = k)
+        for k in range(1, 8):
+            grid = range(k + 1)
+            for alpha, beta, a, b in itertools.product(grid, repeat=4):
+                truth = [min(k, k - min(alpha, a + v) + min(beta, b + v)) for v in grid]
+                for lo in grid:
+                    least = truth[lo]
+                    for hi in range(lo, k + 1):
+                        least = min(least, truth[hi])
+                        assert least == min(truth[lo], truth[hi]), (k, alpha, beta, a, b, lo, hi)
+                        assert a < k or least == truth[lo], (k, alpha, beta, b, lo, hi)
 
 
 class TestPrunedWalkAgainstBruteForce:
@@ -136,6 +194,13 @@ class TestPrunedWalkAgainstBruteForce:
                     )
                     seen["unused spec variable"] += bool(
                         set(variables) - set(theory.variables()) - query.variables()
+                    )
+                    seen["variable on both sides of a rule"] += any(
+                        set(r.antecedent.support()) & set(r.consequent.support())
+                        for r in theory.rules
+                    )
+                    seen["last spec variable outside the query"] += (
+                        spec.variables[-1] not in query.variables()
                     )
         assert seen["cases"] >= 1000
         assert all(seen.values()), seen
