@@ -14,8 +14,6 @@ from .algebra import (
     as_unit_degree,
     decimal_expansion,
     format_degree,
-    join,
-    meet,
     parse_rational,
     rational_from_json,
     rational_to_json,
@@ -32,10 +30,8 @@ from .engine import (
 )
 from .lsets import (
     FuzzySet,
-    intersect,
     is_contained,
     scalar_multiple,
-    scalar_shift,
     subsethood,
     union,
 )

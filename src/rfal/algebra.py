@@ -70,14 +70,6 @@ def residuum(alg: Algebra, a: Fraction, b: Fraction) -> Fraction:
     return b
 
 
-def meet(a: Fraction, b: Fraction) -> Fraction:
-    return a if a <= b else b
-
-
-def join(a: Fraction, b: Fraction) -> Fraction:
-    return a if a >= b else b
-
-
 def as_unit_degree(value) -> Fraction:
     """Coerce to an exact degree in [0, 1].  Floats are refused outright."""
     if isinstance(value, float):

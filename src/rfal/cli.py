@@ -239,7 +239,10 @@ def _cmd_closure(args) -> int:
     start = parse_set(args.start)
     trace = least_model(theory.algebra, theory, start, _limits(args))
     if args.trace:
-        entries = sum(r.count * (len(r.first) + len(theory)) for r in trace.rounds)
+        entries, support = 0, set(trace.start.support())
+        for r in trace.rounds:  # a round's steps share the support of its first
+            support.update(r.raised)
+            entries += r.count * (len(support) + len(theory))
         if entries > MAX_TRACE_ENTRIES:
             print(f"refusing to write: the trace has {entries} entries, over the "
                   f"{MAX_TRACE_ENTRIES}-entry limit for --trace", file=sys.stderr)

@@ -82,13 +82,16 @@ no probe reaches past the cap, and doubling passes the end of a run by at
 most a factor of two, so a jump builds numbers at most about twice as long as
 those of the steps it stands for.
 
-The trace stores the rounds, and a round stores the degrees of only the
-rules its sweep fired, so a run's memory grows with its firings, not with
-rules times steps.  One walk over the rounds yields each step's evaluation,
-from the line, and the degrees of the rules it fired: a later step of a round
-re-fires that round's rules, by `subsethood` on the evaluation before that
-step.  Proof synthesis reads the walk; the dense per-step views are built
-from it on first access.
+The loop keeps one evaluation, encoded, and decodes it once, when it stops.
+The trace stores the start, that final evaluation and the rounds, and a round
+stores only what its first step changed: the values it raised and the
+degrees of the rules its sweep fired.  So a run's memory grows with what
+changed, not with rules or variables times steps.  One walk replays the
+rounds from the start and yields each step's evaluation, from the line, and
+the degrees of the rules it fired: a later step of a round re-fires that
+round's rules, by `subsethood` on the evaluation before that step.  Proof
+synthesis reads the walk; the dense per-step views are built from it on
+first access.
 
 Only variables occurring in the theory or the start evaluation can ever gain
 a degree, and zero membership is represented by absence, so no explicit
@@ -140,63 +143,64 @@ FiringLog = tuple[tuple[int, Fraction], ...]
 class Round(NamedTuple):
     """`count` consecutive steps along one line.
 
-    The first step gives `first`, and `firings` holds the degrees of the
-    rules it fired, in rule order: every rule in the first round, after that
-    the rules watching a variable the step before raised.  Every other rule
-    kept its degree.  Each later step re-fires the same rules and raises
-    every variable in `rise` once more: it adds the rise (Lukasiewicz) or
-    multiplies by it (product).  `last` is the evaluation after the last step.
+    The first step raises each variable of `raised` to its value there, and
+    `firings` holds the degrees of the rules it fired, in rule order: every
+    rule in the first round, after that the rules watching a variable the
+    step before raised.  Every other variable and rule kept its value.  Each
+    later step re-fires the same rules and raises every variable in `rise`
+    once more: it adds the rise (Lukasiewicz) or multiplies by it (product).
     """
 
-    first: Evaluation
+    raised: dict[str, Fraction]
     firings: FiringLog
-    last: Evaluation
     count: int = 1
     rise: dict[str, Fraction] | None = None
 
 
 class ClosureTrace:
     """Record of one least-model run of `theory` under `alg` from `start`,
-    stored as rounds of steps.
+    stored as rounds of steps, each holding only the values its first step
+    raised; `final` is the evaluation after the last step.
 
-    `walk` yields each step's evaluation with the degrees of the rules it
-    fired.  `steps` holds the evaluations after each productive application
-    and `firing_log` the degree of every rule at each of them; both are dense
-    per-step views, built from the walk on first access, with each degree
-    carried forward until its rule fires again.  The stationary application
-    that detects the fixpoint is not recorded.  When `reached_fixpoint` is
-    false, the final evaluation is only a sound lower approximation of the
-    least model.
+    `walk` replays the rounds from `start` and yields each step's evaluation
+    with the degrees of the rules it fired.  `steps` holds the evaluations
+    after each productive application and `firing_log` the degree of every
+    rule at each of them; both are dense per-step views, built from the walk
+    on first access, with each degree carried forward until its rule fires
+    again.  The stationary application that detects the fixpoint is not
+    recorded.  When `reached_fixpoint` is false, the final evaluation is only
+    a sound lower approximation of the least model.
     """
 
     def __init__(self, alg: Algebra, theory: Theory, start: Evaluation, rounds,
-                 reached_fixpoint: bool):
-        self.start, self.rounds = start, tuple(rounds)
+                 final: Evaluation, reached_fixpoint: bool):
+        self.start, self.rounds, self.final = start, tuple(rounds), final
         self.reached_fixpoint = reached_fixpoint
         self.iterations = sum(r.count for r in self.rounds)
         self._alg, self._theory = alg, theory
-
-    @property
-    def final(self) -> Evaluation:
-        return self.rounds[-1].last if self.rounds else self.start
 
     @property
     def penultimate(self) -> Evaluation:
         """The evaluation before the last step (`start` when there is none)."""
         if not self.rounds:
             return self.start
-        last = self.rounds[-1]
+        *before, last = self.rounds
         if last.count > 1:
-            return self._moved(last.last, last.rise, -1)
-        return self.rounds[-2].last if len(self.rounds) > 1 else self.start
+            values = dict(self.final.items())
+            self._move(values, last.rise, -1)
+            return FuzzySet._raw(values)
+        values = dict(self.start.items())
+        for r in before:
+            values.update(r.raised)
+            if r.count > 1:
+                self._move(values, r.rise, r.count - 1)
+        return FuzzySet._raw(values)
 
-    def _moved(self, evaluation: Evaluation, rise: dict, times: int) -> Evaluation:
-        """`evaluation` moved `times` steps along the line of `rise`."""
+    def _move(self, values: dict, rise: dict, times: int) -> None:
+        """Move `values` in place `times` steps along the line of `rise`."""
         product = self._alg is Algebra.PRODUCT
-        moved = dict(evaluation.items())
         for var, r in rise.items():
-            moved[var] = moved[var] * r ** times if product else moved[var] + times * r
-        return FuzzySet._raw(moved)
+            values[var] = values[var] * r ** times if product else values[var] + times * r
 
     def walk(self) -> Iterator[tuple[Evaluation, FiringLog]]:
         """Each step's evaluation and the degrees of the rules it fired.
@@ -205,13 +209,16 @@ class ClosureTrace:
         evaluation the step before it gave.
         """
         rules = self._theory.rules
+        values = dict(self.start.items())
         for r in self.rounds:
-            evaluation = r.first
+            values.update(r.raised)
+            evaluation = FuzzySet._raw(dict(values))
             yield evaluation, r.firings
             for _ in range(r.count - 1):
                 fired = tuple((index, subsethood(self._alg, rules[index].antecedent, evaluation))
                               for index, _ in r.firings)
-                evaluation = self._moved(evaluation, r.rise, 1)
+                self._move(values, r.rise, 1)
+                evaluation = FuzzySet._raw(dict(values))
                 yield evaluation, fired
 
     @functools.cached_property
@@ -259,18 +266,6 @@ def grid_denominator(alg: Algebra, theory: Theory, e: Evaluation) -> int | None:
         if grid.bit_length() > MAX_GRID_BITS:
             return None
     return grid
-
-
-class _Decoded(dict):
-    """Memo of encoded value -> the Fraction it stands for."""
-
-    def __init__(self, decode):
-        super().__init__()
-        self.decode = decode
-
-    def __missing__(self, value) -> Fraction:
-        fraction = self[value] = self.decode(value)
-        return fraction
 
 
 def _fire(due, values, out, table, unit, zero, luk):
@@ -365,24 +360,39 @@ def _difference(y, x):
     return y - x
 
 
-def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Round]:
-    """The productive steps from `e`, in rounds that never run past step `cap`."""
+def least_model(
+    alg: Algebra,
+    theory: Theory,
+    e: Evaluation,
+    limits: EngineLimits = DEFAULT_LIMITS,
+) -> ClosureTrace:
+    """Iterate closure steps from `e` until stationary or the cap is hit.
+
+    For finite theories under Lukasiewicz or product the fixpoint is always
+    reached, and it is the least model of the theory containing `e`.  The cap
+    counts logical steps, a jump of J steps counting J, and rounds never run
+    past it.  After the cap-th step one more sweep decides whether it was the
+    last.  The loop keeps only the encoded evaluation; a round decodes the
+    values its first step raised, and the final evaluation is decoded once.
+    """
+    cap = limits.max_iterations
     table = theory.table
     if alg is Algebra.PRODUCT:
         fire = functools.partial(_fire_pairs, table=table)
         advance, ratio = _pair_advance, _pair_ratio
-        decoded = _Decoded(lambda pair: Fraction(*pair))
+        decode = functools.lru_cache(None)(lambda pair: Fraction(*pair))
         values = {var: (q.numerator, q.denominator) for var, q in e.items()}
     else:
         grid = grid_denominator(alg, theory, e)
         if grid is None:
-            unit, zero, decoded = ONE, ZERO, None
+            unit, zero = ONE, ZERO
+            decode = lambda value: value
             encoded = [([(v, q) for v, q, _, _ in a], [(v, q) for v, q, _, _ in c])
                        for a, c in table]
             values = dict(e.items())
         else:
             unit, zero = grid, 0
-            decoded = _Decoded(lambda value: Fraction(value, grid))
+            decode = functools.lru_cache(None)(lambda value: Fraction(value, grid))
             multiplier = {den: grid // den for den in theory.denominators}
             encoded = [([(v, n * multiplier[d]) for v, _, n, d in a],
                         [(v, n * multiplier[d]) for v, _, n, d in c]) for a, c in table]
@@ -442,7 +452,7 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Ro
                 bad = j
         return good + 1
 
-    fractions = dict(e.items())
+    rounds: list[Round] = []
     due: Iterable[int] = range(len(table))
     jumps = alg is not Algebra.GOEDEL
     taken = 0
@@ -450,60 +460,25 @@ def _steps(alg: Algebra, theory: Theory, e: Evaluation, cap: int) -> Iterator[Ro
     line = None  # their rise, when that step raised the same ones as the step before it
     while True:
         raised = fire(due, values, firings)
-        if not raised:
-            return
-        if decoded is None:
-            log = tuple([(index, firings[index]) for index in sorted(due)])
-        else:
-            log = tuple([(index, decoded[firings[index]]) for index in sorted(due)])
+        if not raised or taken >= cap:
+            final = FuzzySet._raw({var: decode(v) for var, v in values.items()})
+            return ClosureTrace(alg, theory, e, rounds, final, not raised)
+        log = tuple([(index, decode(firings[index])) for index in sorted(due)])
         rise = None
         if jumps and raised.keys() == previous.keys():
             rise = {var: ratio(v, values[var]) for var, v in raised.items()}
         count = 1
         if rise is not None and rise == line and cap - taken > 1:
             count = run_length(due, values, rise, cap - taken)
+        rounds.append(Round({var: decode(v) for var, v in raised.items()}, log, count,
+                            {var: decode(r) for var, r in rise.items()} if count > 1 else None))
         if count > 1:
             values = along(values, rise, count)
         else:
             values.update(raised)
-        fractions = dict(fractions)
-        for var, v in raised.items():
-            fractions[var] = v if decoded is None else decoded[v]
-        first = FuzzySet._raw(fractions)
-        if count > 1:
-            fractions = dict(fractions)
-            for var in raised:
-                fractions[var] = values[var] if decoded is None else decoded[values[var]]
-            yield Round(first, log, FuzzySet._raw(fractions), count,
-                        rise if decoded is None else {var: decoded[r] for var, r in rise.items()})
-        else:
-            yield Round(first, log, first)
         taken += count
         previous, line = raised, rise
         due = {index for var in raised for index in watchers.get(var, ())}
-
-
-def least_model(
-    alg: Algebra,
-    theory: Theory,
-    e: Evaluation,
-    limits: EngineLimits = DEFAULT_LIMITS,
-) -> ClosureTrace:
-    """Iterate closure steps from `e` until stationary or the cap is hit.
-
-    For finite theories under Lukasiewicz or product the fixpoint is always
-    reached, and it is the least model of the theory containing `e`.  The cap
-    counts logical steps, a jump of J steps counting J.  After the cap-th
-    step one more sweep decides whether it was the last.
-    """
-    rounds: list[Round] = []
-    taken = 0
-    for step in _steps(alg, theory, e, limits.max_iterations):
-        if taken >= limits.max_iterations:
-            return ClosureTrace(alg, theory, e, rounds, False)
-        rounds.append(step)
-        taken += step.count
-    return ClosureTrace(alg, theory, e, rounds, True)
 
 
 def provability_degree(

@@ -131,28 +131,6 @@ def union(*sets: FuzzySet) -> FuzzySet:
     return FuzzySet._raw(merged)
 
 
-def intersect(*sets: FuzzySet) -> FuzzySet:
-    """Pointwise meet of a nonempty collection; zero-degree entries drop out."""
-    if not sets:
-        raise ValueError(
-            "intersection of an empty collection is undefined (it would be the "
-            "all-ones set over an infinite variable universe)"
-        )
-    first, rest = sets[0], sets[1:]
-    out: dict[str, Fraction] = {}
-    for var, degree in first.items():
-        m = degree
-        for s in rest:
-            d = s.degree(var)
-            if d < m:
-                m = d
-                if m == 0:
-                    break
-        if m != 0:
-            out[var] = m
-    return FuzzySet._raw(out)
-
-
 def scalar_multiple(alg: Algebra, c: Fraction, a: FuzzySet) -> FuzzySet:
     """The c-multiple of a set: apply tnorm(c, .) pointwise, dropping zeros."""
     if c == 1:  # 1 is the unit of every t-norm
@@ -160,24 +138,6 @@ def scalar_multiple(alg: Algebra, c: Fraction, a: FuzzySet) -> FuzzySet:
     out: dict[str, Fraction] = {}
     for var, degree in a.items():
         value = tnorm(alg, c, degree)
-        if value != 0:
-            out[var] = value
-    return FuzzySet._raw(out)
-
-
-def scalar_shift(alg: Algebra, c: Fraction, a: FuzzySet, universe: Iterable[str] | None = None) -> FuzzySet:
-    """The c-shift of a set: apply residuum(c, .) pointwise.
-
-    Outside the support of `a` the shift value is residuum(c, 0), which may be
-    nonzero, so those entries are materialized only for variables listed in an
-    explicit `universe`.
-    """
-    variables = set(a.support())
-    if universe is not None:
-        variables.update(check_var(v) for v in universe)
-    out: dict[str, Fraction] = {}
-    for var in variables:
-        value = residuum(alg, c, a.degree(var))
         if value != 0:
             out[var] = value
     return FuzzySet._raw(out)

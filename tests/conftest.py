@@ -38,12 +38,20 @@ DUPLICATE_KEY_CERTIFICATE = (
 
 
 # p and q climb on alternate steps, so no two steps match and all 10,000
-# steps of the default cap run as rounds of one step, while 8,000 rules that
-# never fire sit beside them: 182 KB of text.  `{} => {p:1}` has degree 1/2
-# at the cap.
+# steps of the default cap run as rounds of one step: 88 bytes of text.
+# `{} => {p:1}` has degree 1/2 at the cap.
+ALTERNATING_ASCENT = ["algebra lukasiewicz", "{} => {p:2/20000}", "{p:19999/20000} => {q:1}",
+                      "{q:19999/20000} => {p:1}"]
+
+# The alternating ascent with 8,000 rules that never fire beside it: 182 KB.
 IDLE_RULES_PROBE = "\n".join(
-    ["algebra lukasiewicz", "{} => {p:2/20000}", "{p:19999/20000} => {q:1}",
-     "{q:19999/20000} => {p:1}"] + [f"{{x{i}:1}} => {{y{i}:1}}" for i in range(8000)])
+    ALTERNATING_ASCENT + [f"{{x{i}:1}} => {{y{i}:1}}" for i in range(8000)])
+
+# The alternating ascent with 1,000 facts `{} => {ai:1}` that the first step
+# settles: 15 KB.  A round that kept the whole evaluation would hold 10,000
+# copies of its 1,002 values.
+SETTLED_VARIABLES_PROBE = "\n".join(
+    ALTERNATING_ASCENT + [f"{{}} => {{a{i}:1}}" for i in range(1000)])
 
 
 def fs(entries=None, **kwargs):

@@ -8,8 +8,6 @@ from rfal import (
     as_unit_degree,
     decimal_expansion,
     format_degree,
-    join,
-    meet,
     parse_rational,
     rational_from_json,
     rational_to_json,
@@ -112,12 +110,6 @@ def test_rational_closedness(alg):
             # Fraction keeps lowest terms by construction
             from math import gcd
             assert gcd(value.numerator, value.denominator) == 1
-
-
-def test_meet_join_examples():
-    assert meet(Fraction(3, 4), Fraction(1, 2)) == Fraction(1, 2)
-    assert join(Fraction(3, 4), Fraction(1, 2)) == Fraction(3, 4)
-    assert meet(Fraction(2, 7), Fraction(2, 7)) == Fraction(2, 7)
 
 
 def test_pavelka_completeness_flag():

@@ -18,6 +18,7 @@ from conftest import (
     DUPLICATE_KEY_CERTIFICATE,
     IDLE_RULES_PROBE,
     PADDED_RATIONAL_CERTIFICATE,
+    SETTLED_VARIABLES_PROBE,
 )
 
 WORKED = "algebra lukasiewicz\n{p:1} => {q:0.8}\n{q:3/5} => {r:9/10}\n"
@@ -121,6 +122,15 @@ class TestDegree:
         code, out, err = run(capsys, "degree", "--theory", str(path), "{} => {p:1}")
         assert (code, out.splitlines()) == (2, ["1/10 = 0.1", "iterations: 10000", "fixpoint: no"])
         assert err.endswith("lower bound only; still climbing: p +1/100000 per step\n")
+
+    def test_a_capped_run_beside_many_settled_variables(self, capsys, tmp_path):
+        # 1,000 variables settle in the first step while p and q climb on
+        # alternate steps up to the cap; the rise is read off the last two
+        path = tmp_path / "probe.rfal"
+        path.write_text(SETTLED_VARIABLES_PROBE)
+        code, out, err = run(capsys, "degree", "--theory", str(path), "{} => {p:1}")
+        assert (code, out.splitlines()) == (2, ["1/2 = 0.5", "iterations: 10000", "fixpoint: no"])
+        assert err.endswith("lower bound only; still climbing: q +1/10000 per step\n")
 
     @NO_DIGIT_LIMIT
     def test_refuses_a_degree_it_cannot_write(self, capsys, tmp_path):

@@ -182,9 +182,9 @@ class DenseTrace:
 
 def assert_same_run(theory, trace, reference):
     """The engine's trace equals the dense reference field by field, and each
-    of its rounds stores the degrees of the rules its first step fired: every
-    rule at first, after that those watching a variable the step before
-    raised."""
+    of its rounds stores only the values its first step raised and the
+    degrees of the rules that step fired: every rule at first, after that
+    those watching a variable the step before raised."""
     assert trace.steps == reference.steps
     assert trace.firing_log == reference.firing_log
     assert trace.iterations == reference.iterations
@@ -199,6 +199,8 @@ def assert_same_run(theory, trace, reference):
             raised = {var for var, d in chain[done].items() if d != chain[done - 1].degree(var)}
             due = [i for i in due if raised.intersection(theory.rules[i].antecedent.support())]
         assert [index for index, _ in r.firings] == list(due)
+        assert r.raised == {var: d for var, d in chain[done + 1].items()
+                            if d != chain[done].degree(var)}
         done += r.count
 
 

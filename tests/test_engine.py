@@ -13,7 +13,6 @@ from rfal import (
     is_contained,
     is_model,
     least_model,
-    meet,
     parse_implication,
     parse_theory,
     provability_degree,
@@ -26,7 +25,7 @@ from rfal import (
 )
 from rfal.oracle import random_evaluation, sample_models
 
-from conftest import IDLE_RULES_PROBE, fs, imp
+from conftest import IDLE_RULES_PROBE, SETTLED_VARIABLES_PROBE, fs, imp
 from harness import random_implication, random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
@@ -233,7 +232,7 @@ class TestDegreeLaws:
             ]
             lhs = Fraction(1)
             for b in family:
-                lhs = meet(lhs, provability_degree(alg, theory, Implication(a, b))[0])
+                lhs = min(lhs, provability_degree(alg, theory, Implication(a, b))[0])
             rhs, _ = provability_degree(alg, theory, Implication(a, union(*family)))
             assert lhs == rhs
 
@@ -322,6 +321,23 @@ class TestStress:
         assert (degree, trace.iterations, len(trace.rounds)) == (Fraction(1, 2), 10_000, 10_000)
         assert not trace.reached_fixpoint
         assert peak < 64 * 2**20
+
+    def test_settled_variables_do_not_grow_the_trace_per_step(self):
+        # on this probe a round that kept the whole evaluation would hold
+        # 10 million values, over 150 MB
+        theory = parse_theory(SETTLED_VARIABLES_PROBE)
+        query = parse_implication("{} => {p:1}")
+        tracemalloc.start()
+        try:
+            degree, trace = provability_degree(L, theory, query)
+            before = trace.penultimate
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (degree, trace.iterations, trace.reached_fixpoint) == (Fraction(1, 2), 10_000, False)
+        assert (len(trace.final), len(before)) == (1002, 1002)
+        assert trace.final.degree("q") - before.degree("q") == Fraction(1, 10_000)
+        assert peak < 32 * 2**20
 
     def test_wide_random_theory_converges(self):
         rng = random.Random(43)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from rfal import (
     Algebra,
     FuzzySet,
-    intersect,
     is_contained,
     residuum,
     scalar_multiple,
-    scalar_shift,
     subsethood,
     tnorm,
     union,
@@ -86,22 +84,6 @@ class TestUnion:
         assert union(a, a) == a
 
 
-class TestIntersect:
-    def test_pointwise_min_drops_zeros(self):
-        assert intersect(fs(p="1/2", q="1"), fs(p="3/4")) == fs(p="1/2")
-
-    def test_singleton(self):
-        a = fs(p="2/3")
-        assert intersect(a) == a
-
-    def test_with_empty_set(self):
-        assert intersect(fs(p="1"), FuzzySet()) == FuzzySet()
-
-    def test_empty_collection_is_an_error(self):
-        with pytest.raises(ValueError):
-            intersect()
-
-
 class TestScalarMultiple:
     def test_lukasiewicz_drops_to_zero(self):
         got = scalar_multiple(L, Fraction(1, 2), fs(p="1", q="3/10"))
@@ -114,25 +96,6 @@ class TestScalarMultiple:
         a = fs(p="1/3", q="1")
         for alg in Algebra:
             assert scalar_multiple(alg, Fraction(1), a) == a
-
-
-class TestScalarShift:
-    def test_lukasiewicz_over_universe(self):
-        got = scalar_shift(L, Fraction(1, 2), fs(p="3/10"), universe=("p",))
-        assert got == fs(p="4/5")
-
-    def test_product_over_universe(self):
-        got = scalar_shift(P, Fraction(1, 2), fs(p="1/4"), universe=("p",))
-        assert got == fs(p="1/2")
-
-    def test_zero_scalar_fills_universe_with_one(self):
-        for alg in Algebra:
-            got = scalar_shift(alg, Fraction(0), FuzzySet(), universe=("p",))
-            assert got == fs(p="1")
-
-    def test_without_universe_only_support_is_shifted(self):
-        got = scalar_shift(L, Fraction(1, 2), fs(p="3/10"))
-        assert got == fs(p="4/5")
 
 
 class TestSubsethood:
