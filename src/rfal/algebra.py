@@ -32,17 +32,6 @@ class Algebra(enum.Enum):
     PRODUCT = "product"
     GOEDEL = "goedel"
 
-    @property
-    def pavelka_complete(self) -> bool:
-        """True when graded provability coincides with semantic entailment.
-
-        Holds for LUKASIEWICZ and PRODUCT.  GOEDEL still runs in the engine
-        but is flagged incomplete in reports: an infinite premise family can
-        semantically entail strictly more than any finite amount of deduction
-        proves (the `demo-goedel` command exhibits the gap).
-        """
-        return self is not Algebra.GOEDEL
-
 
 LUKASIEWICZ = Algebra.LUKASIEWICZ
 PRODUCT = Algebra.PRODUCT

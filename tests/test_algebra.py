@@ -112,12 +112,6 @@ def test_rational_closedness(alg):
             assert gcd(value.numerator, value.denominator) == 1
 
 
-def test_pavelka_completeness_flag():
-    assert L.pavelka_complete
-    assert P.pavelka_complete
-    assert not G.pavelka_complete
-
-
 class TestDegreeBoundary:
     def test_floats_are_refused(self):
         with pytest.raises(TypeError):

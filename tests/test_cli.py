@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -122,6 +123,20 @@ class TestDegree:
         code, out, err = run(capsys, "degree", "--theory", str(path), "{} => {p:1}")
         assert (code, out.splitlines()) == (2, ["1/10 = 0.1", "iterations: 10000", "fixpoint: no"])
         assert err.endswith("lower bound only; still climbing: p +1/100000 per step\n")
+
+    @pytest.mark.parametrize("algebra", ["lukasiewicz", "product"])
+    def test_an_ascent_that_ends_far_past_the_cap_exits_two_quickly(self, capsys, tmp_path,
+                                                                    algebra):
+        # p reaches 999999/1000000 only after about 10^6 steps (lukasiewicz)
+        # or 1.4 * 10^7 (product), far past the default cap of 10,000; a probe
+        # at that crossing would build product numbers of 2.8 * 10^8 bits
+        path = tmp_path / "ascent.rfal"
+        path.write_text(f"algebra {algebra}\n{{}} => {{p:1/1000000}}\n"
+                        "{p:999999/1000000} => {p:1}\n")
+        started = time.perf_counter()
+        code, _, _ = run(capsys, "degree", "--theory", str(path), "{} => {p:1}")
+        assert code == 2
+        assert time.perf_counter() - started < 1
 
     def test_a_capped_run_beside_many_settled_variables(self, capsys, tmp_path):
         # 1,000 variables settle in the first step while p and q climb on

@@ -314,6 +314,45 @@ class TestJumpsAgainstDenseLoop:
             assert_same_run(subject, trace, reference)
             assert len(trace.rounds) < trace.iterations
 
+    @pytest.mark.parametrize("alg, rules, cap", [
+        # p climbs by 1/100 towards the 99/100 of its own rule, but from
+        # p = 1/2 on that rule also overtakes q, which the line does not raise
+        (L, [({}, {"p": "1/100"}), ({"p": "99/100"}, {"p": "1"}),
+             ({}, {"q": "1/2"}), ({"p": "99/100"}, {"q": "1"})], None),
+        # the rule's term for s stays at 3/4 and becomes the minimum once p's
+        # term passes it, so p stops at 3/4
+        (L, [({}, {"p": "1/100"}), ({}, {"s": "1/2"}), ({"p": "99/100", "s": "3/4"}, {"p": "1"})],
+         None),
+        # the cap cuts the ascent at p = 1/2
+        (L, [({}, {"p": "1/100"}), ({"p": "99/100"}, {"p": "1"})], 50),
+        # the same three under product, times 10/9 per step towards 9/10
+        (P, [({}, {"p": "1/100"}), ({"p": "9/10"}, {"p": "1"}),
+             ({}, {"q": "1/5"}), ({"p": "9/10"}, {"q": "1"})], None),
+        (P, [({}, {"p": "1/100"}), ({}, {"s": "1/4"}), ({"p": "9/10", "s": "3/4"}, {"p": "1"})],
+         None),
+        (P, [({}, {"p": "1/100"}), ({"p": "9/10"}, {"p": "1"})], 20),
+    ], ids=["luk-overtake", "luk-switch", "luk-cap", "prod-overtake", "prod-switch", "prod-cap"])
+    def test_runs_that_end_before_the_predicted_crossing(self, alg, rules, cap):
+        theory = Theory(tuple(imp(a, b) for a, b in rules), alg)
+        own = EngineLimits(cap) if cap else EngineLimits()
+        trace = least_model(alg, theory, FuzzySet(), own)
+        done = 0
+        for r in trace.rounds:
+            if r.count > 2:
+                break
+            done += r.count
+        else:
+            pytest.fail("no long round")
+        # the first long run ends with p still below the degree its rule
+        # asks of it, so the end predicted at that crossing is a miss
+        assert trace.steps[done + r.count - 1].degree("p") < Fraction(rules[-1][0]["p"])
+        inside = EngineLimits(done + r.count // 2)
+        for limits in (own, EngineLimits(), EngineLimits(1), EngineLimits(2), EngineLimits(3),
+                       inside):
+            reference = dense_least_model(alg, theory, FuzzySet(), limits)
+            for subject in as_built_and_parsed(theory):
+                assert_same_run(subject, least_model(alg, subject, FuzzySet(), limits), reference)
+
 
 def grid_side(alg, theory, start):
     """(lcm of every denominator in the theory and start, the grid the engine

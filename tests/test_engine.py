@@ -23,6 +23,7 @@ from rfal import (
     truth_degree,
     union,
 )
+from rfal import engine
 from rfal.oracle import random_evaluation, sample_models
 
 from conftest import IDLE_RULES_PROBE, SETTLED_VARIABLES_PROBE, fs, imp
@@ -306,6 +307,27 @@ class TestStress:
         trace = least_model(alg, theory, FuzzySet())
         assert (trace.final, trace.iterations, trace.reached_fixpoint) == (fs(p="1"), steps, True)
         assert len(trace.rounds) <= 6
+
+    @pytest.mark.parametrize("alg, rules, cap, steps, sweeps", [
+        # lukasiewicz n = 100,000 under a cap of 10^6
+        (L, [({}, {"p": "1/100000"}), ({"p": "99999/100000"}, {"p": "1"})], 10**6, 100_000, 8),
+        # product: times 200/199 per step from 10^-6
+        (P, [({}, {"p": "1/1000000"}), ({"p": "199/200"}, {"p": "1"})], 10_000, 2758, 10),
+    ])
+    def test_a_jumped_round_takes_a_few_sweeps(self, monkeypatch, alg, rules, cap, steps,
+                                               sweeps):
+        # the run's end is predicted and proved by two probes; doubling and
+        # bisection took 38 sweeps on the first and 29 on the second
+        calls = []
+        for name in ("_fire", "_fire_pairs"):
+            def counted(*args, fire=getattr(engine, name), **kwargs):
+                calls.append(fire)
+                return fire(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
+        theory = Theory(tuple(imp(a, b) for a, b in rules), alg)
+        trace = least_model(alg, theory, FuzzySet(), EngineLimits(cap))
+        assert (trace.final, trace.iterations, trace.reached_fixpoint) == (fs(p="1"), steps, True)
+        assert len(calls) <= sweeps
 
     def test_many_idle_rules_do_not_grow_the_trace_per_step(self):
         # on this probe a round that kept every rule's degree would hold
