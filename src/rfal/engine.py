@@ -116,9 +116,9 @@ The trace stores the start, that final evaluation and the rounds, and a round
 stores only what its first step changed: the values it raised and the
 degrees of the rules its sweep fired.  So a run's memory grows with what
 changed, not with rules or variables times steps.  One walk replays the
-rounds from the start and yields each step's evaluation, from the line, and
-the degrees of the rules it fired: a later step of a round re-fires that
-round's rules, by `subsethood` on the evaluation before that step.  Proof
+rounds from the start and yields the values each step raised, from the line,
+and the degrees of the rules it fired: a later step of a round re-fires that
+round's rules, by subsethood on the evaluation before that step.  Proof
 synthesis reads the walk; the dense per-step views are built from it on
 first access.
 
@@ -135,7 +135,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import ONE, ZERO, Algebra, rational_to_json
+from .algebra import ONE, ZERO, Algebra, rational_to_json, residuum
 from .lsets import FuzzySet, subsethood
 from .logic import Evaluation, Implication, Theory
 
@@ -191,12 +191,12 @@ class ClosureTrace:
     stored as rounds of steps, each holding only the values its first step
     raised; `final` is the evaluation after the last step.
 
-    `walk` replays the rounds from `start` and yields each step's evaluation
-    with the degrees of the rules it fired.  `steps` holds the evaluations
-    after each productive application and `firing_log` the degree of every
-    rule at each of them; both are dense per-step views, built from the walk
-    on first access, with each degree carried forward until its rule fires
-    again.  The stationary application that detects the fixpoint is not
+    `walk` replays the rounds from `start` and yields the values each step
+    raised with the degrees of the rules it fired.  `steps` holds the
+    evaluations after each productive application and `firing_log` the
+    degree of every rule at each of them; both are dense per-step views,
+    built from the walk on first access, with each degree carried forward
+    until its rule fires again.  The stationary application that detects the fixpoint is not
     recorded.  When `reached_fixpoint` is false, the final evaluation is only
     a sound lower approximation of the least model.
     """
@@ -231,28 +231,35 @@ class ClosureTrace:
         for var, r in rise.items():
             values[var] = values[var] * r ** times if product else values[var] + times * r
 
-    def walk(self) -> Iterator[tuple[Evaluation, FiringLog]]:
-        """Each step's evaluation and the degrees of the rules it fired.
+    def walk(self) -> Iterator[tuple[dict[str, Fraction], FiringLog]]:
+        """The values each step raised and the degrees of the rules it fired.
 
-        A later step of a round re-fires that round's rules against the
-        evaluation the step before it gave.
+        A round's first step raised its `raised`; each later step moves the
+        `rise` variables one step along the line and re-fires the round's
+        rules against the evaluation the step before it gave.  The yielded
+        dicts are the trace's own or fresh ones; callers must not change them.
         """
-        rules = self._theory.rules
         values = dict(self.start.items())
+
+        def degree(index):  # subsethood of the rule's antecedent in `values`
+            return min((residuum(self._alg, q, values.get(var, ZERO))
+                        for var, q in self._theory.rule(index).antecedent.items()), default=ONE)
+
         for r in self.rounds:
             values.update(r.raised)
-            evaluation = FuzzySet._raw(dict(values))
-            yield evaluation, r.firings
+            yield r.raised, r.firings
             for _ in range(r.count - 1):
-                fired = tuple((index, subsethood(self._alg, rules[index].antecedent, evaluation))
-                              for index, _ in r.firings)
+                fired = tuple((index, degree(index)) for index, _ in r.firings)
                 self._move(values, r.rise, 1)
-                evaluation = FuzzySet._raw(dict(values))
-                yield evaluation, fired
+                yield {var: values[var] for var in r.rise}, fired
 
     @functools.cached_property
     def steps(self) -> tuple[Evaluation, ...]:
-        return tuple(evaluation for evaluation, _ in self.walk())
+        values, steps = dict(self.start.items()), []
+        for raised, _ in self.walk():
+            values.update(raised)
+            steps.append(FuzzySet._raw(dict(values)))
+        return tuple(steps)
 
     @functools.cached_property
     def firing_log(self) -> tuple[FiringLog, ...]:

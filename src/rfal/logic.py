@@ -15,8 +15,9 @@ the whole family of weaker graded variants.
 A theory is stored as its rule table: for each rule, the entries of its
 antecedent and consequent as `(variable, degree, numerator, denominator)`,
 zero degrees left out, together with the set of denominators they use.  The
-engine reads the table as it is; the `Implication` views of the rules, which
-proofs, the oracle and serialization read, are built on first access.
+engine, proofs, the oracle, `is_model` and serialization read the table as it
+is; the `Implication` view of a rule, which a proof step states and the
+public `Theory.rules` lists, is built on first access.
 
 `parse_theory` reads a plain rule line, `SET => SET` with an optional
 comment, in one step: one regex, built from the set-literal grammar, matches
@@ -93,20 +94,22 @@ class Theory:
     """Finite ordered list of rules plus the algebra they are read under.
 
     `table` holds each rule as (antecedent entries, consequent entries) and
-    `denominators` the denominators of all of them; `rules` holds the same
-    rules as `Implication`s, built from the table on first access, or the
-    rules the theory was constructed from.  Rule order is preserved for
-    deterministic output; entailment does not depend on it.
+    `denominators` the denominators of all of them.  `rule(i)` is rule i as
+    an `Implication`, built from the table on first access, or the rule the
+    theory was constructed from; `rules` lists them all.  Rule order is
+    preserved for deterministic output; entailment does not depend on it.
+    The entries of a side keep the order they were read in, so equality
+    compares each side as a set of entries.
     """
 
     __slots__ = ("table", "denominators", "algebra", "name", "_rules")
 
     def __init__(self, rules, algebra: Algebra, name: str | None = None):
-        self._rules = tuple(rules)
-        self.table = tuple((_entries(r.antecedent), _entries(r.consequent)) for r in self._rules)
+        rules = tuple(rules)
+        self.table = tuple((_entries(r.antecedent), _entries(r.consequent)) for r in rules)
         self.denominators = frozenset(entry[3] for sides in self.table for side in sides
                                       for entry in side)
-        self.algebra, self.name = algebra, name
+        self.algebra, self.name, self._rules = algebra, name, dict(enumerate(rules))
 
     @classmethod
     def _from_table(cls, table, denominators, algebra: Algebra) -> "Theory":
@@ -115,11 +118,18 @@ class Theory:
         theory.algebra, theory.name, theory._rules = algebra, None, None
         return theory
 
+    def rule(self, index: int) -> Implication:
+        if self._rules is None:  # no view built yet
+            self._rules = {}
+        view = self._rules.get(index)
+        if view is None:
+            antecedent, consequent = self.table[index]
+            view = self._rules[index] = Implication(_view(antecedent), _view(consequent))
+        return view
+
     @property
     def rules(self) -> tuple[Implication, ...]:
-        if self._rules is None:
-            self._rules = tuple(Implication(_view(a), _view(c)) for a, c in self.table)
-        return self._rules
+        return tuple(self.rule(index) for index in range(len(self.table)))
 
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted({entry[0] for sides in self.table for side in sides
@@ -128,16 +138,21 @@ class Theory:
     def __len__(self) -> int:
         return len(self.table)
 
+    def _key(self) -> tuple:
+        return tuple((frozenset(antecedent), frozenset(consequent))
+                     for antecedent, consequent in self.table)
+
     def __eq__(self, other) -> bool:  # the name is not part of equality
         if not isinstance(other, Theory):
             return NotImplemented
-        return self.algebra is other.algebra and self.rules == other.rules
+        return self.algebra is other.algebra and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.rules, self.algebra))
+        return hash((self._key(), self.algebra))
 
     def __repr__(self) -> str:
-        return f"Theory(rules={self.rules!r}, algebra={self.algebra!r}, name={self.name!r})"
+        rules = tuple(_rule_text(rule) for rule in self.table)
+        return f"Theory(rules={rules!r}, algebra={self.algebra!r}, name={self.name!r})"
 
 
 def truth_degree(alg: Algebra, formula: Implication, e: Evaluation) -> Fraction:
@@ -150,8 +165,13 @@ def truth_degree(alg: Algebra, formula: Implication, e: Evaluation) -> Fraction:
 
 
 def is_model(alg: Algebra, theory: Theory, e: Evaluation) -> bool:
-    """True when every rule holds to degree 1 under the evaluation."""
-    return all(truth_degree(alg, rule, e) == ONE for rule in theory.rules)
+    """True when every rule holds to degree 1 under the evaluation: the
+    subsethood of its antecedent in `e` is at most that of its consequent."""
+    def inclusion(side) -> Fraction:
+        return min((residuum(alg, q, e.degree(var)) for var, q, _, _ in side), default=ONE)
+
+    return all(inclusion(antecedent) <= inclusion(consequent)
+               for antecedent, consequent in theory.table)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +460,23 @@ def parse_set(text: str) -> FuzzySet:
     return result
 
 
+def _side_text(side) -> str:
+    """A side's entries as a set literal, sorted by variable: `FuzzySet.to_text`."""
+    return "{" + ", ".join([f"{var}:{n}" if d == 1 else f"{var}:{n}/{d}"
+                            for var, _, n, d in sorted(side)]) + "}"
+
+
+def _rule_text(rule) -> str:
+    antecedent, consequent = rule
+    return f"{_side_text(antecedent)} => {_side_text(consequent)}"
+
+
 def serialize_theory(theory: Theory) -> str:
-    """Canonical text form; parsing it back reproduces the theory exactly."""
+    """Canonical text form; parsing it back reproduces the theory exactly.
+
+    Each rule is written from its table entries as its `Implication.to_text`
+    would write it, so the text, and the hash certificates are checked
+    against, stays the same."""
     lines = [f"algebra {theory.algebra.value}"]
-    lines.extend(rule.to_text() for rule in theory.rules)
+    lines.extend(_rule_text(rule) for rule in theory.table)
     return "\n".join(lines) + "\n"

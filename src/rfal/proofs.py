@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, as_unit_degree, brief, rational_from_json, rational_to_json
+from .algebra import (ZERO, Algebra, as_unit_degree, brief, rational_from_json, rational_to_json,
+                      tnorm)
 from .engine import ClosureTrace
 from .lsets import FuzzySet, is_contained, scalar_multiple, subsethood, union
 from .logic import Implication, Theory, serialize_theory
@@ -221,9 +223,9 @@ def derive(
         return step.formula
     if step.rule == HYP:
         k = step.hyp_index
-        if k is None or not 0 <= k < len(theory.rules):
+        if k is None or not 0 <= k < len(theory):
             return BAD_INDEX
-        derived, mismatch = theory.rules[k], NOT_IN_THEORY
+        derived, mismatch = theory.rule(k), NOT_IN_THEORY
     elif step.rule == CUT:
         if len(step.premises) != 2 or not all(0 <= i < len(earlier) for i in step.premises):
             return BAD_INDEX
@@ -287,7 +289,8 @@ class ProofBuilder:
         derived = derive(self._alg, self._theory, self._formulas, step)
         if isinstance(derived, str):
             raise SynthesisError(f"the checker would reject this {step.rule} step: {derived}")
-        self._steps.append(replace(step, formula=derived))
+        self._steps.append(
+            ProofStep(derived, step.rule, step.premises, step.hyp_index, step.scalar))
         self._formulas.append(derived)
         index = len(self._steps) - 1
         self._index[step] = index
@@ -323,22 +326,30 @@ def synthesize_proof(
     """Certificate of `A => d*B` with d the provability degree of A => B.
 
     A forward pass over the trace collects the contributions: the firings of
-    a rule `F => G` at degree c whose c*G is not yet contained in `grown`, the
-    closure of A so far, each with `W`, the closure before it.  A firing at
-    degree 0, or at the degree its rule last fired at, is skipped unscaled:
-    firing degrees never decrease, so its c*G is already inside `grown`.
+    a rule `F => G` at degree c that raise some value of `grown`, the closure
+    of A so far.  It keeps `grown` as one dict of values, and beside it the
+    history of each variable: the indices of the contributions that raised
+    it and the values they raised it to.  So W_k, the closure before
+    contribution k, is never stored: its value at v is the last value raised
+    by a contribution before k (a bisection in v's history), or A's degree
+    when there is none.  A firing at degree 0, or at the degree its rule last
+    fired at, is skipped: firing degrees never decrease, so its c*G is
+    already inside `grown`.  After each step `grown` must equal the trace's
+    evaluation; it did before the step, so it suffices that the step's
+    firings raised only variables the trace says it raised, to the values it
+    raised them to.
 
     A backward pass then keeps one formula `X => d*B`, starting from the
     axiom `d*B => d*B`, and states only what the query still needs.  A
-    contribution whose W already contains X is skipped.  Otherwise:
+    contribution whose W_k already contains X is skipped.  Otherwise:
 
       mul   c*F => c*G           from the hypothesis F => G, unless c = 1
       cut   c*F|X' => X          with the axiom X|c*G => X, unless c*G lies in X
       cut   c*F|X' => d*B        onto X => d*B
 
     where X' is the part of X above c*G; the new X is c*F|X', which lies
-    inside W.  At c = 1 the hypothesis itself is c*F => c*G, so it takes the
-    place of the mul.  A closing axiom `A => X` and cut land on the
+    inside W_k.  At c = 1 the hypothesis itself is c*F => c*G, so it takes
+    the place of the mul.  A closing axiom `A => X` and cut land on the
     conclusion.  So a certificate of m contributions has at most
     3 + #hyp + #mul + 3m steps, with each hypothesis written once.  Refuses
     traces that did not reach a fixpoint, since a lower bound cannot be
@@ -358,29 +369,51 @@ def synthesize_proof(
         builder.axiom(a, goal)
         return builder.build()
 
-    contributions = []  # (rule index, c, c*G, closure before it)
+    table = theory.table
+    contributions: list[tuple[int, Fraction]] = []  # (rule index, c)
+    history: dict[str, tuple[list[int], list[Fraction]]] = {}
     last_degree: dict[int, Fraction] = {}
-    grown = a
-    for step_eval, firings in trace.walk():
+    grown = dict(a.items())
+    for raised, firings in trace.walk():
+        moved = set()
         for rule_index, c in firings:
             if not c or last_degree.get(rule_index) == c:
                 continue
             last_degree[rule_index] = c
-            contribution = scalar_multiple(alg, c, theory.rules[rule_index].consequent)
-            if is_contained(contribution, grown):
-                continue
-            contributions.append((rule_index, c, contribution, grown))
-            grown = union(grown, contribution)
-        if grown != step_eval:
+            k, raises = len(contributions), False
+            for var, g, _, _ in table[rule_index][1]:  # c*G, entry by entry
+                value = g if c == 1 else tnorm(alg, c, g)
+                if value > grown.get(var, ZERO):
+                    grown[var] = value
+                    indices, values = history.setdefault(var, ([], []))
+                    indices.append(k)
+                    values.append(value)
+                    moved.add(var)
+                    raises = True
+            if raises:
+                contributions.append((rule_index, c))
+        if not moved <= raised.keys() or any(grown.get(var) != q for var, q in raised.items()):
             raise SynthesisError("trace firing log is inconsistent with its steps")
+
+    def before(k: int, var: str) -> Fraction:
+        """The value of `var` in W_k, the closure before contribution k."""
+        entry = history.get(var)
+        if entry is not None:
+            indices, values = entry
+            i = bisect_left(indices, k)
+            if i:
+                return values[i - 1]
+        return a.degree(var)
 
     x = goal
     current = builder.axiom(goal, goal)  # X => d*B
-    for rule_index, c, contribution, before in reversed(contributions):
-        if is_contained(x, before):
+    for k in reversed(range(len(contributions))):
+        if all(q <= before(k, var) for var, q in x.items()):
             continue
+        rule_index, c = contributions[k]
         hypothesis = builder.hypothesis(rule_index)
         scaled = hypothesis if c == 1 else builder.mul(hypothesis, c)  # c*F => c*G
+        contribution = builder.formula(scaled).consequent
         if not is_contained(contribution, x):
             scaled = builder.cut(scaled, builder.axiom(union(x, contribution), x))
         current = builder.cut(scaled, current)

@@ -244,6 +244,32 @@ class TestSemiNaiveAgainstDenseLoop:
         assert capped > 50  # the caps cut real runs short
 
 
+def test_serialization_from_the_table_matches_the_views():
+    # seeded random theories of the dense-loop cross-check's shape, each
+    # under all three algebras, built from `Implication`s and parsed from
+    # text whose entries are shuffled: the table-based text is the one the
+    # rule views write
+    rng = random.Random(74)
+    variables = tuple(f"v{i}" for i in range(8))
+    for _ in range(150):
+        width = rng.randint(1, len(variables))
+        rules = random_theory(rng, L, variables[:width], max_rules=20, max_denominator=8).rules
+        lines = []
+        for rule in rules:
+            sides = [list(rule.antecedent.items()), list(rule.consequent.items())]
+            for side in sides:
+                rng.shuffle(side)
+            lines.append(" => ".join("{" + ", ".join(f"{v}:{q}" for v, q in side) + "}"
+                                     for side in sides))
+        for alg in (L, P, G):
+            built = Theory(rules, alg)
+            parsed = parse_theory("\n".join([f"algebra {alg.value}"] + lines))
+            for theory in (built, parsed):
+                views = "\n".join(rule.to_text() for rule in theory.rules)
+                assert serialize_theory(theory) == f"algebra {alg.value}\n" + views + "\n"
+            assert parsed == built
+
+
 def slow_ascent(rng, alg):
     """A theory on 1-4 variables that climbs slowly: a seed rule
     `{} => {v:1/N}`, self-loops and 2-cycles whose antecedent degrees lie

@@ -190,6 +190,25 @@ class TestSerializer:
             theory = random_theory(rng, alg, ("p", "q", "r", "s"), max_rules=5)
             assert parse_theory(serialize_theory(theory)) == theory
 
+    def test_round_trip_keeps_equality_with_unsorted_entries(self):
+        # the parser keeps each side's entries in line order, the serializer
+        # and `Theory(rules)` sort them: equality and hashing ignore the order
+        text = "algebra lukasiewicz\n{q:0.8, p:1} => {s:0, r:2/4}\n{} => {t:1/3, p:1}\n"
+        theory = parse_theory(text)
+        assert [v for v, *_ in theory.table[0][0]] == ["q", "p"]
+        built = Theory((imp({"p": "1", "q": "4/5"}, {"r": "1/2"}),
+                        imp({}, {"p": "1", "t": "1/3"})), L)
+        assert parse_theory(serialize_theory(theory)) == theory == built
+        assert hash(theory) == hash(built)
+        assert theory != parse_theory(text.replace("2/4", "3/4"))
+        assert theory != parse_theory(text, P)
+        assert repr(theory) == repr(built)
+        models = {e: is_model(L, theory, e) for e in (
+            fs(p="1", q="4/5", r="1/2", t="1/3"), fs(p="1", t="1/3"), fs(p="1"),
+            fs(p="1", q="1", t="1/3"))}
+        assert list(models.values()) == [True, True, False, False]
+        assert all(is_model(L, built, e) == holds for e, holds in models.items())
+
 
 class TestQueryParsing:
     def test_implication(self):

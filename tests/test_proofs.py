@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from rfal import (
     Theory,
     check_proof,
     least_model,
+    parse_theory,
     provability_degree,
     scalar_multiple,
+    serialize_theory,
     synthesize_proof,
     theory_hash,
     truth_degree,
@@ -34,6 +37,7 @@ from rfal.proofs import (
     MUL,
     NOT_IN_THEORY,
 )
+from rfal.engine import ClosureTrace
 from rfal.oracle import sample_models
 
 from conftest import (
@@ -216,6 +220,47 @@ class TestSynthesis:
         trace = least_model(L, worked_lukasiewicz, fs(p="1"))
         with pytest.raises(SynthesisError):
             synthesize_proof(L, worked_lukasiewicz, imp({"q": "1"}, {"r": "1"}), trace)
+
+    @pytest.mark.parametrize("tamper", ["raised value", "fired degree"])
+    def test_refuses_a_trace_whose_firings_disagree_with_its_steps(self, worked_lukasiewicz,
+                                                                  tamper):
+        # from {p:1} the first round fires rule 1 at 2/5 and raises r to 3/10;
+        # a trace that states a higher value or degree there is refused
+        query = imp({"p": "1"}, {"r": "1"})
+        _, trace = provability_degree(L, worked_lukasiewicz, query)
+        first, *rest = trace.rounds
+        assert first.raised["r"] == Fraction(3, 10) and (1, Fraction(2, 5)) in first.firings
+        if tamper == "raised value":
+            first = first._replace(raised={**first.raised, "r": Fraction(1, 2)})
+        else:
+            first = first._replace(firings=tuple(
+                (index, Fraction(1, 2) if index == 1 else c) for index, c in first.firings))
+        tampered = ClosureTrace(L, worked_lukasiewicz, trace.start, [first, *rest], trace.final,
+                                True)
+        synthesize_proof(L, worked_lukasiewicz, query, trace)  # the untouched trace is fine
+        with pytest.raises(SynthesisError, match="inconsistent"):
+            synthesize_proof(L, worked_lukasiewicz, query, tampered)
+
+    def test_memory_stays_flat_on_a_long_alternating_ascent(self):
+        # p and q climb on alternate steps for 2,000 steps beside 1,000 facts
+        # that the first step settles.  Synthesis keeps one closure and a
+        # history of raises, not the closure before every contribution, which
+        # here would be 4,000 copies of 1,002 values (over 200 MiB).
+        text = "\n".join(["algebra lukasiewicz", "{} => {p:2/2000}", "{p:1999/2000} => {q:1}",
+                          "{q:1999/2000} => {p:1}"] + [f"{{}} => {{a{i}:1}}" for i in range(1000)])
+        theory = parse_theory(text)
+        query = imp({}, {"p": "1"})
+        degree, trace = provability_degree(L, theory, query)
+        assert degree == 1 and trace.reached_fixpoint
+        tracemalloc.start()
+        try:
+            proof = synthesize_proof(L, theory, query, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert len(proof.steps) == 4002
+        assert check_proof(L, theory, proof).accepted
 
     def test_round_trip_on_random_instances(self):
         rng = random.Random(51)
@@ -457,6 +502,19 @@ class TestProofJson:
             with pytest.raises(ProofFormatError) as caught:
                 Proof.loads(bad)
             assert len(str(caught.value)) < 300
+
+
+def test_theory_hash_is_pinned():
+    # unsorted entries, a decimal literal, a zero entry and a graded rule;
+    # the digest was recorded when serialization still wrote the rules'
+    # `Implication` views, so every certificate written since keeps its hash
+    text = ("algebra lukasiewicz\n{q:0.8, p:1} => {s:0, r:2/4}\n"
+            "({r:3/5} => {t:9/10, s:1}) @ 1/2\n{} => {p:1/3}\n")
+    theory = parse_theory(text)
+    assert serialize_theory(theory) == (
+        "algebra lukasiewicz\n{p:1, q:4/5} => {r:1/2}\n{r:3/5} => {s:1/2, t:2/5}\n{} => {p:1/3}\n")
+    assert theory_hash(theory) == "5364a38d957535c69c12a0127965f27f7aa89b9463483cbbb2b600b58ab64957"
+    assert theory._rules is None  # no rule view was built
 
 
 def test_theory_hash_tracks_content(worked_lukasiewicz, worked_product):
