@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: degree, closure, prove, check-proof, oracle, demo-goedel.
-Exit codes are part of the stable interface:
+Each writes its result through one writer, which renders it in full before
+writing anything.  Exit codes are part of the stable interface:
 
     0  success
     1  parse or input error (position-reported where applicable)
-    2  iteration cap hit (result is a lower bound), or a certificate, result
-       or trace refused
+    2  iteration cap hit (result is a lower bound); a trace over its entry
+       budget; or any output that needs an integer past the interpreter's
+       digit limit (`sys.get_int_max_str_digits()`), so nothing is written
     3  proof certificate rejected
 
 `RFAL_MAX_ITER` mirrors `--max-iter`; the flag wins when both are set.
@@ -49,7 +51,7 @@ from .oracle import (
     sample_models,
     semantic_degree_grid,
 )
-from .proofs import Proof, SynthesisError, check_proof, synthesize_proof, widest_integer
+from .proofs import Proof, SynthesisError, check_proof, synthesize_proof
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -61,6 +63,10 @@ EXIT_REJECT = 3
 # rule per step, so a small theory with many rules and a long run would
 # otherwise write gigabytes.
 MAX_TRACE_ENTRIES = 200_000
+
+# Largest `demo-goedel --k-max`.  Each row is a closure of its own, and the
+# count has no other budget: 10,000 rows take about a second.
+MAX_GOEDEL_K = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,15 +170,49 @@ def _load_theory(args) -> Theory:
     return theory
 
 
-def _emit(args, text: str) -> None:
+def _write(args, refusal: str, payload, lines=None, render=None) -> bool:
+    """Render a command's result in full, then write it to `--output` or stdout.
+
+    The text is `render()` if given, else the JSON `payload` (under `--format
+    json`, or when there are no `lines`), else the lines `lines()` builds.
+    When rendering fails, the payload (built first if it is a function) is
+    walked: if its widest integer is past the interpreter's digit limit,
+    `sys.get_int_max_str_digits()`, nothing is written, `refusal` names the
+    integer's width on stderr and False is returned.  Other errors propagate.
+    """
+    try:
+        if render is not None:
+            text = render()
+        elif lines is None or args.format == "json":
+            text = json.dumps(payload, indent=2)
+        else:
+            text = "\n".join(lines())
+    except ValueError:
+        widest = _widest(payload() if callable(payload) else payload)
+        try:
+            str(widest)
+        except ValueError:
+            print(f"{refusal} needs a {widest.bit_length()}-bit integer, over the "
+                  f"{sys.get_int_max_str_digits()}-digit limit for writing integers",
+                  file=sys.stderr)
+            return False
+        raise
     if args.output is not None:
         args.output.write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+    return True
 
 
-def _still_climbing(trace: ClosureTrace) -> str:
-    """The variables that rose in a capped trace's last step, with their rise.
+def _widest(value) -> int:
+    """The largest integer in a JSON value, or 0 when it holds none."""
+    if isinstance(value, (dict, list)):
+        return max(map(_widest, value.values() if isinstance(value, dict) else value), default=0)
+    return value if isinstance(value, int) else 0
+
+
+def _warn_capped(trace: ClosureTrace, message: str) -> None:
+    """Print `message` and the variables that rose in a capped trace's last step.
 
     At most three are named, in sorted order.  A rise whose denominator is too
     long to print is described by its size.
@@ -186,97 +226,53 @@ def _still_climbing(trace: ClosureTrace) -> str:
             text = str(rise) if bits <= 192 else f"(a fraction with a {bits}-bit denominator)"
             rises.append(f"{var} +{text} per step")
     more = f" and {len(rises) - 3} more" if len(rises) > 3 else ""
-    return "still climbing: " + ", ".join(rises[:3]) + more
+    print(f"{message}; still climbing: " + ", ".join(rises[:3]) + more, file=sys.stderr)
 
 
-def _unwritable(widest: int) -> str | None:
-    """Why an output whose largest integer is `widest` cannot be written, or
-    None when it can."""
-    # the interpreter refuses to write an integer past this many digits;
-    # below 3·digits bits an integer is under 8^digits, so within the limit
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and widest.bit_length() >= 3 * digits and widest >= 10 ** digits:
-        return (f"needs a {widest.bit_length()}-bit integer, over the {digits}-digit "
-                "limit for writing integers")
-    return None
-
-
-def _widest(degrees) -> int:
-    return max((max(q.numerator, q.denominator) for q in degrees), default=1)
+def _report(args, trace: ClosureTrace, what: str, payload: dict, line=None) -> int:
+    """Write a `degree` or `closure` result, then exit 2 with a warning if the
+    iteration cap stopped the run.  `line()` builds the text line that the
+    iteration count and fixpoint flag follow; both join the JSON payload too.
+    Without `line` the payload is the `--trace` JSON, which carries both.
+    """
+    lines, refused = None, "trace"
+    if line is not None:
+        payload.update(iterations=trace.iterations, fixpoint=trace.reached_fixpoint)
+        fixpoint = "yes" if trace.reached_fixpoint else "no"
+        lines = lambda: [line(), f"iterations: {trace.iterations}", f"fixpoint: {fixpoint}"]
+        refused = what
+    if not _write(args, f"refusing to write: the {refused}", payload, lines):
+        return EXIT_LOWER_BOUND
+    if not trace.reached_fixpoint:
+        _warn_capped(trace, f"warning: iteration cap reached; the {what} is a lower bound only")
+        return EXIT_LOWER_BOUND
+    return EXIT_OK
 
 
 def _cmd_degree(args) -> int:
     theory = _load_theory(args)
     query = parse_implication(args.query)
     degree, trace = provability_degree(theory.algebra, theory, query, _limits(args))
-    problem = _unwritable(_widest([degree]))
-    if problem:
-        print(f"refusing to write: the degree {problem}", file=sys.stderr)
-        return EXIT_LOWER_BOUND
-    payload = {
-        "degree": rational_to_json(degree),
-        "iterations": trace.iterations,
-        "fixpoint": trace.reached_fixpoint,
-    }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [
-            format_degree(degree),
-            f"iterations: {trace.iterations}",
-            f"fixpoint: {'yes' if trace.reached_fixpoint else 'no'}",
-        ]
-        _emit(args, "\n".join(lines))
-    if not trace.reached_fixpoint:
-        print("warning: iteration cap reached; the degree is a lower bound only; "
-              + _still_climbing(trace), file=sys.stderr)
-        return EXIT_LOWER_BOUND
-    return EXIT_OK
+    return _report(args, trace, "degree", {"degree": rational_to_json(degree)},
+                   lambda: format_degree(degree))
 
 
 def _cmd_closure(args) -> int:
     theory = _load_theory(args)
     start = parse_set(args.start)
     trace = least_model(theory.algebra, theory, start, _limits(args))
-    if args.trace:
-        entries, support = 0, set(trace.start.support())
-        for r in trace.rounds:  # a round's steps share the support of its first
-            support.update(r.raised)
-            entries += r.count * (len(support) + len(theory))
-        if entries > MAX_TRACE_ENTRIES:
-            print(f"refusing to write: the trace has {entries} entries, over the "
-                  f"{MAX_TRACE_ENTRIES}-entry limit for --trace", file=sys.stderr)
-            return EXIT_LOWER_BOUND
-        what = "trace"
-        degrees = [q for step in (trace.start,) + trace.steps for _, q in step.items()]
-        degrees += [c for firings in trace.firing_log for _, c in firings]
-    else:
-        what, degrees = "closure", [q for _, q in trace.final.items()]
-    problem = _unwritable(_widest(degrees))
-    if problem:
-        print(f"refusing to write: the {what} {problem}", file=sys.stderr)
+    if not args.trace:
+        return _report(args, trace, "closure", {"closure": trace.final.to_json()},
+                       lambda: f"closure: {trace.final.to_text()}")
+    entries, support = 0, set(trace.start.support())
+    for r in trace.rounds:  # a round's steps share the support of its first
+        support.update(r.raised)
+        entries += r.count * (len(support) + len(theory))
+    if entries > MAX_TRACE_ENTRIES:
+        print(f"refusing to write: the trace has {entries} entries, over the "
+              f"{MAX_TRACE_ENTRIES}-entry limit for --trace", file=sys.stderr)
         return EXIT_LOWER_BOUND
-    if args.trace:
-        _emit(args, json.dumps(trace.to_json(), indent=2))
-    elif args.format == "json":
-        payload = {
-            "closure": trace.final.to_json(),
-            "iterations": trace.iterations,
-            "fixpoint": trace.reached_fixpoint,
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [
-            f"closure: {trace.final.to_text()}",
-            f"iterations: {trace.iterations}",
-            f"fixpoint: {'yes' if trace.reached_fixpoint else 'no'}",
-        ]
-        _emit(args, "\n".join(lines))
-    if not trace.reached_fixpoint:
-        print("warning: iteration cap reached; the closure is a lower bound only; "
-              + _still_climbing(trace), file=sys.stderr)
-        return EXIT_LOWER_BOUND
-    return EXIT_OK
+    return _report(args, trace, "closure", trace.to_json())
 
 
 def _cmd_prove(args) -> int:
@@ -284,15 +280,14 @@ def _cmd_prove(args) -> int:
     query = parse_implication(args.query)
     degree, trace = provability_degree(theory.algebra, theory, query, _limits(args))
     if not trace.reached_fixpoint:
-        print("refusing to certify: iteration cap reached without a fixpoint, "
-              "so the degree is only a lower bound; " + _still_climbing(trace), file=sys.stderr)
+        _warn_capped(trace, "refusing to certify: iteration cap reached without a fixpoint, "
+                            "so the degree is only a lower bound")
         return EXIT_LOWER_BOUND
     proof = synthesize_proof(theory.algebra, theory, query, trace)
-    problem = _unwritable(widest_integer(proof))
-    if problem:
-        print(f"refusing to certify: the certificate {problem}", file=sys.stderr)
+    # the certificate is written by `Proof.dumps`, and walked only if refused
+    if not _write(args, "refusing to certify: the certificate", proof.to_json,
+                  render=proof.dumps):
         return EXIT_LOWER_BOUND
-    _emit(args, proof.dumps())
     print(f"proof: {len(proof.steps)} steps, degree {degree}, "
           f"conclusion {proof.conclusion.to_text()}", file=sys.stderr)
     return EXIT_OK
@@ -302,13 +297,10 @@ def _cmd_check_proof(args) -> int:
     theory = _load_theory(args)
     proof = Proof.loads(args.proof.read_text(encoding="utf-8"))
     verdict = check_proof(theory.algebra, theory, proof)
-    if args.format == "json":
-        _emit(args, json.dumps(verdict.to_json(), indent=2))
-    elif verdict.accepted:
-        _emit(args, "ACCEPT")
-    else:
-        where = "theory hash" if verdict.step is None else f"step {verdict.step}"
-        _emit(args, f"REJECT at {where}: {verdict.reason}")
+    where = "theory hash" if verdict.step is None else f"step {verdict.step}"
+    text = "ACCEPT" if verdict.accepted else f"REJECT at {where}: {verdict.reason}"
+    if not _write(args, "refusing to write: the verdict", verdict.to_json(), lambda: [text]):
+        return EXIT_LOWER_BOUND
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
@@ -320,7 +312,6 @@ def _cmd_oracle(args) -> int:
         return EXIT_PARSE
     limits = _limits(args)
     sections: dict = {}
-    text_lines: list[str] = []
 
     if args.grid_k is not None:
         variables = tuple(sorted(set(theory.variables()) | query.variables()))
@@ -331,7 +322,6 @@ def _cmd_oracle(args) -> int:
             "denominator": args.grid_k,
             "variables": list(spec.variables),
         }
-        text_lines.append(f"grid degree (k={args.grid_k}): {format_degree(degree)}")
 
     if args.samples is not None:
         sampled = sample_models(theory.algebra, theory, query.antecedent,
@@ -341,13 +331,6 @@ def _cmd_oracle(args) -> int:
         violations = sum(1 for t in truths if t < engine_degree)
         minimum = min(truths, default=None)
         witness = truth_degree(theory.algebra, query, trace.final)
-        problem = _unwritable(_widest(q for q in (engine_degree, minimum, witness) if q is not None))
-        if problem:
-            print(f"refusing to write: the sampling result {problem}", file=sys.stderr)
-            return EXIT_LOWER_BOUND
-        if not trace.reached_fixpoint:
-            print("warning: engine hit the iteration cap; sampling against a lower bound; "
-                  + _still_climbing(trace), file=sys.stderr)
         sections["sampling"] = {
             "engine_degree": rational_to_json(engine_degree),
             "samples": len(sampled.models),
@@ -356,17 +339,22 @@ def _cmd_oracle(args) -> int:
             "min_truth_degree": rational_to_json(minimum) if minimum is not None else None,
             "witness_truth_degree": rational_to_json(witness),
         }
-        text_lines.append(f"engine degree: {format_degree(engine_degree)}")
-        text_lines.append(f"samples: {len(sampled.models)} (skipped {sampled.skipped})")
-        text_lines.append(f"soundness violations: {violations}")
-        if minimum is not None:
-            text_lines.append(f"minimum sampled truth degree: {format_degree(minimum)}")
-        text_lines.append(f"truth degree at the fixpoint witness: {format_degree(witness)}")
 
-    if args.format == "json":
-        _emit(args, json.dumps(sections, indent=2))
-    else:
-        _emit(args, "\n".join(text_lines))
+    def lines():
+        if args.grid_k is not None:
+            yield f"grid degree (k={args.grid_k}): {format_degree(degree)}"
+        if args.samples is not None:
+            yield f"engine degree: {format_degree(engine_degree)}"
+            yield f"samples: {len(sampled.models)} (skipped {sampled.skipped})"
+            yield f"soundness violations: {violations}"
+            if minimum is not None:
+                yield f"minimum sampled truth degree: {format_degree(minimum)}"
+            yield f"truth degree at the fixpoint witness: {format_degree(witness)}"
+
+    if not _write(args, "refusing to write: the sampling result", sections, lines):
+        return EXIT_LOWER_BOUND
+    if args.samples is not None and not trace.reached_fixpoint:
+        _warn_capped(trace, "warning: engine hit the iteration cap; sampling against a lower bound")
     return EXIT_OK
 
 
@@ -379,6 +367,8 @@ def goedel_gap_rows(k_max: int, limits: EngineLimits = DEFAULT_LIMITS) -> list[t
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
+    if k_max > MAX_GOEDEL_K:
+        raise ValueError(f"k_max must be at most {MAX_GOEDEL_K}, got {k_max}")
     half, full = Fraction(1, 2), Fraction(1)
     query = Implication(FuzzySet(), FuzzySet({"q": full}))
     rows: list[tuple[int, Fraction]] = []
@@ -408,19 +398,20 @@ _GOEDEL_CAPTION = (
 
 def _cmd_demo_goedel(args) -> int:
     rows = goedel_gap_rows(args.k_max, _limits(args))
-    if args.format == "json":
-        payload = {
-            "rows": [{"k": k, "degree": rational_to_json(d)} for k, d in rows],
-            "caption": _GOEDEL_CAPTION,
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
+    payload = {
+        "rows": [{"k": k, "degree": rational_to_json(d)} for k, d in rows],
+        "caption": _GOEDEL_CAPTION,
+    }
+
+    def lines():
         width = max(len(str(k)) for k, _ in rows)
-        lines = [f"{'k'.rjust(width)}  degree"]
-        lines.extend(f"{str(k).rjust(width)}  {d}" for k, d in rows)
-        lines.append("")
-        lines.append(_GOEDEL_CAPTION)
-        _emit(args, "\n".join(lines))
+        yield f"{'k'.rjust(width)}  degree"
+        yield from (f"{str(k).rjust(width)}  {d}" for k, d in rows)
+        yield ""
+        yield _GOEDEL_CAPTION
+
+    if not _write(args, "refusing to write: the table", payload, lines):
+        return EXIT_LOWER_BOUND
     return EXIT_OK
 
 

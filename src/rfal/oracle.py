@@ -35,6 +35,10 @@ from .engine import DEFAULT_LIMITS, EngineLimits, least_model
 from .lsets import FuzzySet, check_var, union
 from .logic import Evaluation, Implication, Theory, _entries
 
+# Most models `sample_models` draws.  Each is a closure of its own, and the
+# count has no other budget: 100,000 on a two-rule theory take seconds.
+MAX_SAMPLES = 100_000
+
 
 class OffGridError(ValueError):
     """An input degree or variable does not fit the requested grid."""
@@ -239,6 +243,8 @@ def sample_models(
     """
     if count < 0:
         raise ValueError(f"the sample count must not be negative, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"the sample count must be at most {MAX_SAMPLES}, got {count}")
     rng = random.Random(seed)
     universe = sorted(set(theory.variables()) | set(base.support()))
     models: list[Evaluation] = []

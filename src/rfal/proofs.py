@@ -146,21 +146,6 @@ class Proof:
         return cls.from_json(obj)
 
 
-def widest_integer(proof: Proof) -> int:
-    """The largest numerator or denominator that the certificate's JSON writes."""
-    sets = [proof.conclusion.antecedent, proof.conclusion.consequent]
-    widest = 1
-    for step in proof.steps:
-        if step.rule == AXIOM:
-            sets += (step.formula.antecedent, step.formula.consequent)
-        elif step.scalar is not None:
-            widest = max(widest, step.scalar.numerator, step.scalar.denominator)
-    for fuzzy in sets:
-        for _, degree in fuzzy.items():
-            widest = max(widest, degree.numerator, degree.denominator)
-    return widest
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """JSON object hook: a repeated key is refused, not silently overwritten."""
     obj = dict(pairs)

@@ -11,8 +11,9 @@ import pytest
 
 from rfal import parse_implication, parse_theory, provability_degree, synthesize_proof
 from rfal.algebra import rational_from_json, rational_to_json
-from rfal import cli
+from rfal import cli, oracle
 from rfal.cli import main
+from rfal.proofs import Proof
 
 from conftest import (
     DEEP_ANTE_CERTIFICATE,
@@ -152,12 +153,36 @@ class TestDegree:
         theory = tmp_path / "ascent.rfal"
         theory.write_text(PRODUCT_ASCENT)
         target = tmp_path / "degree.txt"
-        code, out, err = run(capsys, "degree", "--theory", str(theory), "--max-iter", "2200",
-                             "--output", str(target), "{} => {p:1}")
-        assert (code, out) == (2, "")
-        assert err == ("refusing to write: the degree needs a 14578-bit integer, "
-                       "over the 4300-digit limit for writing integers\n")
-        assert not target.exists()
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "degree", "--theory", str(theory), "--max-iter", "2200",
+                                 "--format", fmt, "--output", str(target), "{} => {p:1}")
+            assert (code, out) == (2, "")
+            assert err == ("refusing to write: the degree needs a 14578-bit integer, "
+                           "over the 4300-digit limit for writing integers\n")
+            assert not target.exists()
+
+    @NO_DIGIT_LIMIT
+    def test_refusal_follows_the_live_digit_limit(self, tmp_path):
+        # 500 steps of the product ascent reach a degree with 3,309-bit
+        # integers: over a 640-digit limit, and written when there is none
+        theory = tmp_path / "ascent.rfal"
+        theory.write_text(PRODUCT_ASCENT)
+        argv = [sys.executable, "-m", "rfal", "degree", "--theory", str(theory),
+                "--max-iter", "500", "{} => {p:1}"]
+        runs = {digits: subprocess.run(argv, capture_output=True, text=True,
+                                       env={**os.environ, "PYTHONINTMAXSTRDIGITS": digits})
+                for digits in ("640", "0")}
+        limited, unlimited = runs["640"], runs["0"]
+        assert (limited.returncode, limited.stdout) == (2, "")
+        assert limited.stderr == ("refusing to write: the degree needs a 3309-bit integer, "
+                                  "over the 640-digit limit for writing integers\n")
+        lines = unlimited.stdout.splitlines()
+        degree = Fraction(lines[0].partition(" = ")[0])
+        assert (unlimited.returncode, lines[1:]) == (2, ["iterations: 500", "fixpoint: no"])
+        assert max(degree.numerator, degree.denominator).bit_length() == 3309
+        assert unlimited.stderr == (
+            "warning: iteration cap reached; the degree is a lower bound only; still climbing: "
+            "p +(a fraction with a 3309-bit denominator) per step\n")
 
     def test_env_var_mirrors_max_iter(self, capsys, worked_file, monkeypatch):
         monkeypatch.setenv("RFAL_MAX_ITER", "1")
@@ -231,12 +256,13 @@ class TestClosure:
         theory = tmp_path / "ascent.rfal"
         theory.write_text(PRODUCT_ASCENT)
         target = tmp_path / "closure.txt"
-        code, out, err = run(capsys, "closure", "--theory", str(theory), *flags,
-                             "--output", str(target), "{}")
-        assert (code, out) == (2, "")
-        assert err == (f"refusing to write: the {what} needs a {bits}-bit integer, "
-                       "over the 4300-digit limit for writing integers\n")
-        assert not target.exists()
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "closure", "--theory", str(theory), *flags,
+                                 "--format", fmt, "--output", str(target), "{}")
+            assert (code, out) == (2, "")
+            assert err == (f"refusing to write: the {what} needs a {bits}-bit integer, "
+                           "over the 4300-digit limit for writing integers\n")
+            assert not target.exists()
 
     def test_refuses_a_trace_over_the_entry_budget(self, capsys, tmp_path):
         # 10,000 steps of 8,003 rules: the dense trace would hold 80 million
@@ -510,6 +536,12 @@ class TestOracle:
         assert (code, out) == (1, "")
         assert err == "error: the sample count must not be negative, got -1\n"
 
+    def test_sample_count_over_the_bound_is_refused(self, capsys, worked_file):
+        code, out, err = run(capsys, "oracle", "--theory", str(worked_file), "--samples",
+                             str(oracle.MAX_SAMPLES + 1), "{p:1} => {r:1}")
+        assert (code, out) == (1, "")
+        assert err == "error: the sample count must be at most 100000, got 100001\n"
+
     def test_zero_samples(self, capsys, worked_file):
         code, out, _ = run(capsys, "oracle", "--theory", str(worked_file), "--samples", "0",
                            "{p:1} => {r:1}")
@@ -553,6 +585,11 @@ class TestDemoGoedel:
         assert all(d < Fraction(1, 2) for d in degrees)
         assert degrees == sorted(degrees)
 
+    def test_k_max_over_the_bound_is_refused(self, capsys):
+        code, out, err = run(capsys, "demo-goedel", "--k-max", str(cli.MAX_GOEDEL_K + 1))
+        assert (code, out) == (1, "")
+        assert err == "error: k_max must be at most 10000, got 10001\n"
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_one(self, capsys):
@@ -574,6 +611,47 @@ class TestUsageErrors:
         assert exit_code == code
         assert message in err
         assert "Traceback" not in err
+
+
+class TestLayerNames:
+    def test_each_command_calls_the_wrapped_names_once(self, capsys, monkeypatch, tmp_path,
+                                                        worked_file):
+        # The benchmark's traced run times each layer by wrapping, from
+        # outside, the names `rfal.cli` imported and the two `Proof` methods
+        # it calls.  A command that stopped calling one of them would read 0 s
+        # for its layer.
+        calls: dict = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("parse_theory", "parse_implication", "provability_degree",
+                     "synthesize_proof", "check_proof", "semantic_degree_grid"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        monkeypatch.setattr(Proof, "dumps", counted("Proof.dumps", Proof.dumps))
+        loads = Proof.__dict__["loads"].__func__
+        monkeypatch.setattr(Proof, "loads", classmethod(counted("Proof.loads", loads)))
+        cert = tmp_path / "proof.json"
+        query = "{p:1} => {r:1}"
+        theory = ["--theory", str(worked_file)]
+        expected = [
+            (["degree", *theory, query],
+             {"parse_theory": 1, "parse_implication": 1, "provability_degree": 1}),
+            (["prove", *theory, "--output", str(cert), query],
+             {"parse_theory": 1, "parse_implication": 1, "provability_degree": 1,
+              "synthesize_proof": 1, "Proof.dumps": 1}),
+            (["check-proof", *theory, str(cert)],
+             {"parse_theory": 1, "Proof.loads": 1, "check_proof": 1}),
+            (["oracle", *theory, "--grid-k", "10", query],
+             {"parse_theory": 1, "parse_implication": 1, "semantic_degree_grid": 1}),
+        ]
+        for argv, names in expected:
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert calls == names, argv[0]
 
 
 class TestCyclicCollector:
