@@ -150,7 +150,7 @@ def _limits(args) -> EngineLimits:
 
 
 def _load_theory(args) -> Theory:
-    text = args.theory.read_text(encoding="utf-8")
+    text = args.theory.read_text(encoding="utf-8-sig")
     override = Algebra(args.algebra) if args.algebra else None
     if override is not None:
         declared = file_header_algebra(text)
@@ -295,7 +295,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_check_proof(args) -> int:
     theory = _load_theory(args)
-    proof = Proof.loads(args.proof.read_text(encoding="utf-8"))
+    proof = Proof.loads(args.proof.read_text(encoding="utf-8-sig"))
     verdict = check_proof(theory.algebra, theory, proof)
     where = "theory hash" if verdict.step is None else f"step {verdict.step}"
     text = "ACCEPT" if verdict.accepted else f"REJECT at {where}: {verdict.reason}"

@@ -19,13 +19,15 @@ engine, proofs, the oracle, `is_model` and serialization read the table as it
 is; the `Implication` view of a rule, which a proof step states and the
 public `Theory.rules` lists, is built on first access.
 
-`parse_theory` reads a plain rule line, `SET => SET` with an optional
-comment, in one step: one regex, built from the set-literal grammar, matches
-the whole line, and one `findall` per set reads its entries into the table,
-each distinct degree literal being decoded once per parse.  Every other line
-goes to the character scanner: the header, graded rules, and any line with a
-duplicate variable or a literal that names no degree, so that every error is
-reported by the scanner, with its position.
+The parser has two readers.  `parse_theory` reads a plain rule line, `SET =>
+SET` with an optional comment, in one step: one regex, built from the
+set-literal grammar, matches the whole line, and one `findall` per set reads
+its entries into the table, each distinct degree literal being decoded once
+per parse.  The character scanner reads everything else: the header, graded
+rules, any line with a duplicate variable or a literal that names no degree,
+and every query and set literal (`parse_implication`, `parse_set`).  So every
+error is reported by the scanner, with its position, and the scanner is the
+reference the rule-line regex is tested against.
 """
 
 from __future__ import annotations
@@ -102,20 +104,20 @@ class Theory:
     compares each side as a set of entries.
     """
 
-    __slots__ = ("table", "denominators", "algebra", "name", "_rules")
+    __slots__ = ("table", "denominators", "algebra", "_rules")
 
-    def __init__(self, rules, algebra: Algebra, name: str | None = None):
+    def __init__(self, rules, algebra: Algebra):
         rules = tuple(rules)
         self.table = tuple((_entries(r.antecedent), _entries(r.consequent)) for r in rules)
         self.denominators = frozenset(entry[3] for sides in self.table for side in sides
                                       for entry in side)
-        self.algebra, self.name, self._rules = algebra, name, dict(enumerate(rules))
+        self.algebra, self._rules = algebra, dict(enumerate(rules))
 
     @classmethod
     def _from_table(cls, table, denominators, algebra: Algebra) -> "Theory":
         theory = object.__new__(cls)
         theory.table, theory.denominators = tuple(table), frozenset(denominators)
-        theory.algebra, theory.name, theory._rules = algebra, None, None
+        theory.algebra, theory._rules = algebra, None
         return theory
 
     def rule(self, index: int) -> Implication:
@@ -142,7 +144,7 @@ class Theory:
         return tuple((frozenset(antecedent), frozenset(consequent))
                      for antecedent, consequent in self.table)
 
-    def __eq__(self, other) -> bool:  # the name is not part of equality
+    def __eq__(self, other) -> bool:
         if not isinstance(other, Theory):
             return NotImplemented
         return self.algebra is other.algebra and self._key() == other._key()
@@ -152,7 +154,7 @@ class Theory:
 
     def __repr__(self) -> str:
         rules = tuple(_rule_text(rule) for rule in self.table)
-        return f"Theory(rules={rules!r}, algebra={self.algebra!r}, name={self.name!r})"
+        return f"Theory(rules={rules!r}, algebra={self.algebra!r})"
 
 
 def truth_degree(alg: Algebra, formula: Implication, e: Evaluation) -> Fraction:
@@ -182,15 +184,14 @@ _ALGEBRA_NAMES = {alg.value: alg for alg in Algebra}
 
 
 class _Scanner:
-    """Single-line cursor with 1-based position reporting."""
+    """Single-line cursor with 1-based position reporting: the character
+    scanner, which reads every line the rule-line regex does not (the header,
+    graded rules, refused lines) and every query and set literal."""
 
-    def __init__(self, text: str, line_no: int = 1, literals: dict | None = None):
+    def __init__(self, text: str, line_no: int = 1):
         self.text = text
         self.line_no = line_no
         self.pos = 0
-        # degree literal text -> the degree it names (see _literal_degree),
-        # shared by the scanners of one parse call
-        self.literals = {} if literals is None else literals
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         column = (self.pos if pos is None else pos) + 1
@@ -240,64 +241,8 @@ class _Scanner:
         return value
 
 
-# A whole set literal, spaced with blanks and tabs only, and one of its
-# entries, built from the one identifier and degree grammars.
-_DEGREE = re.sub(r"\(\?P<\w+>", "(?:", _RATIONAL_TEXT.pattern)  # its groups made plain
-_BARE_ENTRY = rf"{_VAR_NAME.pattern}[ \t]*:[ \t]*{_DEGREE}"
-_SET_LITERAL = re.compile(
-    rf"[ \t]*\{{[ \t]*(?:{_BARE_ENTRY}(?:[ \t]*,[ \t]*{_BARE_ENTRY})*[ \t]*)?\}}"
-)
-_SET_ENTRY = re.compile(rf"({_VAR_NAME.pattern})[ \t]*:[ \t]*({_DEGREE})")
-
-
 def _scan_set(sc: _Scanner) -> FuzzySet:
-    """A set literal at the cursor.
-
-    The common case is matched whole by one regex and its entries read with
-    one `findall`.  Anything that regex rejects, a duplicate variable, or a
-    degree literal that names no degree goes to the character scanner, which
-    reports the error with its position.
-    """
-    m = _SET_LITERAL.match(sc.text, sc.pos)
-    if m is None:
-        return _scan_set_by_character(sc)
-    literals = sc.literals
-    entries: dict[str, Fraction] = {}
-    zeros = False
-    for name, literal in _SET_ENTRY.findall(m[0]):
-        if name in entries:
-            return _scan_set_by_character(sc)
-        degree = literals.get(literal)
-        if degree is None:
-            degree = literals[literal] = _literal_degree(literal)
-            if degree is None:
-                return _scan_set_by_character(sc)
-        entries[sys.intern(name)] = degree
-        if degree is ZERO:
-            zeros = True
-    sc.pos = m.end()
-    return FuzzySet._raw(_drop_zeros(entries) if zeros else entries)
-
-
-def _drop_zeros(entries: dict[str, Fraction]) -> dict[str, Fraction]:
-    """A set literal's entries without its zero degrees.
-
-    The scanners keep a zero entry until the literal ends, so a variable
-    named at degree 0 and again later is still a duplicate.
-    """
-    return {name: degree for name, degree in entries.items() if degree}
-
-
-def _literal_degree(literal: str) -> Fraction | None:
-    """The degree a literal names, with every zero as ZERO; None if it names none."""
-    try:
-        degree = rational_from_match(_RATIONAL_TEXT.fullmatch(literal))
-    except ValueError:
-        return None
-    return degree if degree else ZERO
-
-
-def _scan_set_by_character(sc: _Scanner) -> FuzzySet:
+    """A set literal at the cursor."""
     sc.expect("{")
     entries: dict[str, Fraction] = {}
     if sc.match("}"):
@@ -311,7 +256,9 @@ def _scan_set_by_character(sc: _Scanner) -> FuzzySet:
         sc.expect(":")
         entries[name] = sc.scan_degree()
         if sc.match("}"):
-            return FuzzySet._raw(_drop_zeros(entries))
+            # a zero entry is kept until the literal ends, so a variable
+            # named at degree 0 and again later is still a duplicate
+            return FuzzySet._raw({name: q for name, q in entries.items() if q})
         sc.expect(",")
 
 
@@ -335,9 +282,8 @@ def _scan_rule(sc: _Scanner, algebra: Algebra) -> Implication:
 
 def _lines(text: str):
     """A scanner for every line that is not blank after its `#` comment."""
-    literals: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        sc = _Scanner(raw.partition("#")[0], line_no, literals)
+        sc = _Scanner(raw.partition("#")[0], line_no)
         if not sc.at_end():
             yield sc
 
@@ -358,9 +304,25 @@ def _scan_header(sc: _Scanner) -> Algebra:
     return _ALGEBRA_NAMES[name]
 
 
+# A whole set literal, spaced with blanks and tabs only, and one of its
+# entries, built from the one identifier and degree grammars.
+_DEGREE = re.sub(r"\(\?P<\w+>", "(?:", _RATIONAL_TEXT.pattern)  # its groups made plain
+_BARE_ENTRY = rf"{_VAR_NAME.pattern}[ \t]*:[ \t]*{_DEGREE}"
+_SET_LITERAL = rf"[ \t]*\{{[ \t]*(?:{_BARE_ENTRY}(?:[ \t]*,[ \t]*{_BARE_ENTRY})*[ \t]*)?\}}"
+_SET_ENTRY = re.compile(rf"({_VAR_NAME.pattern})[ \t]*:[ \t]*({_DEGREE})")
+
+
+def _literal_degree(literal: str) -> Fraction | None:
+    """The degree a literal names, with every zero as ZERO; None if it names none."""
+    try:
+        degree = rational_from_match(_RATIONAL_TEXT.fullmatch(literal))
+    except ValueError:
+        return None
+    return degree if degree else ZERO
+
+
 # A whole plain rule line, `SET => SET` with an optional comment.
-_RULE_LINE = re.compile(
-    rf"({_SET_LITERAL.pattern})[ \t]*=>({_SET_LITERAL.pattern})[ \t]*(?:#.*)?")
+_RULE_LINE = re.compile(rf"({_SET_LITERAL})[ \t]*=>({_SET_LITERAL})[ \t]*(?:#.*)?")
 
 
 def _rule_side(pairs, degrees: dict, denominators: set) -> tuple[Entry, ...] | None:
@@ -403,7 +365,6 @@ def parse_theory(text: str, algebra_override: Algebra | None = None) -> Theory:
     table: list = []
     denominators: set[int] = set()
     degrees: dict = {}  # the rule-line memo (see _rule_side)
-    literals: dict = {}  # the scanner's memo
     rule_line, set_entries = _RULE_LINE.fullmatch, _SET_ENTRY.findall
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if algebra is not None:
@@ -414,7 +375,7 @@ def parse_theory(text: str, algebra_override: Algebra | None = None) -> Theory:
                 if None not in sides:
                     table.append(sides)
                     continue
-        sc = _Scanner(raw.partition("#")[0], line_no, literals)
+        sc = _Scanner(raw.partition("#")[0], line_no)
         if sc.at_end():
             continue
         if algebra is None:

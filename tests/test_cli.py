@@ -319,6 +319,21 @@ class TestProveAndCheck:
         assert code == 0
         assert out.strip() == "ACCEPT"
 
+    def test_files_saved_with_a_bom_are_read(self, capsys, worked_file, tmp_path):
+        # an editor's UTF-8 byte order mark is not part of the theory or the certificate
+        theory = tmp_path / "bom.rfal"
+        theory.write_bytes(b"\xef\xbb\xbf" + WORKED.encode())
+        code, out, _ = run(capsys, "degree", "--theory", str(theory), "{p:1} => {r:1}")
+        assert code == 0
+        assert out.splitlines()[0] == "9/10 = 0.9"
+        cert = tmp_path / "proof.json"
+        assert run(capsys, "prove", "--theory", str(worked_file), "--output", str(cert),
+                   "{p:1} => {r:1}")[0] == 0
+        cert.write_bytes(b"\xef\xbb\xbf" + cert.read_bytes())
+        code, out, _ = run(capsys, "check-proof", "--theory", str(theory), str(cert))
+        assert code == 0
+        assert out.strip() == "ACCEPT"
+
     def test_tampered_scalar_is_rejected_with_exit_three(self, capsys, worked_file, tmp_path):
         cert = tmp_path / "proof.json"
         # from p = 1/2 both rules fire below 1, so each needs a mul

@@ -232,12 +232,6 @@ class TestQueryParsing:
             parse_set("{p:1} junk")
 
 
-def test_theory_name_is_not_part_of_equality():
-    a = Theory((imp({"p": "1"}, {"q": "1"}),), L, name="a")
-    b = Theory((imp({"p": "1"}, {"q": "1"}),), L, name="b")
-    assert a == b
-
-
 # One digit past the int-string conversion limit, where the interpreter has one.
 LONG_DIGITS = max(getattr(sys, "get_int_max_str_digits", lambda: 0)(), 4300) + 1
 
@@ -375,7 +369,8 @@ def _parse_or_error(text: str):
 def test_rule_line_path_reads_what_the_scanner_reads(monkeypatch):
     # the same texts parsed with and without the one-regex rule-line path:
     # equal theories, equal tables up to entry order, equal denominators, or
-    # the same error at the same position
+    # the same error at the same position; and each plain rule line, read
+    # as a query, gives its table row entry for entry
     rng = random.Random(13)
     texts = [_random_theory_text(rng) for _ in range(600)]
     rule_lines = sum(logic._RULE_LINE.fullmatch(line) is not None
@@ -383,7 +378,7 @@ def test_rule_line_path_reads_what_the_scanner_reads(monkeypatch):
     fast = [_parse_or_error(text) for text in texts]
     monkeypatch.setattr(logic, "_RULE_LINE", re.compile(r"(?!)"))
     scanned = [_parse_or_error(text) for text in texts]
-    parsed = errors = 0
+    parsed = errors = queries = 0
     for text, a, b in zip(texts, fast, scanned):
         if isinstance(b, tuple):
             assert a == b, text
@@ -393,5 +388,14 @@ def test_rule_line_path_reads_what_the_scanner_reads(monkeypatch):
         assert [[sorted(side) for side in sides] for sides in a.table] == \
             [[sorted(side) for side in sides] for sides in b.table], text
         assert a.denominators == b.denominators, text
+        lines = [line.partition("#")[0] for line in text.splitlines()]
+        rule_texts = [line for line in lines if line.strip(" \t")][1:]  # after the header
+        for line, (antecedent, consequent) in zip(rule_texts, a.table):
+            if line.lstrip(" \t").startswith("("):
+                continue  # a graded rule is no query
+            query = parse_implication(line)
+            assert logic._entries(query.antecedent) == tuple(sorted(antecedent)), line
+            assert logic._entries(query.consequent) == tuple(sorted(consequent)), line
+            queries += 1
         parsed += 1
-    assert parsed > 200 and errors > 100 and rule_lines > 2000
+    assert parsed > 200 and errors > 100 and rule_lines > 2000 and queries > 1000

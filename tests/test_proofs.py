@@ -519,5 +519,5 @@ def test_theory_hash_is_pinned():
 
 def test_theory_hash_tracks_content(worked_lukasiewicz, worked_product):
     assert theory_hash(worked_lukasiewicz) != theory_hash(worked_product)
-    clone = Theory(worked_lukasiewicz.rules, worked_lukasiewicz.algebra, name="other")
+    clone = Theory(worked_lukasiewicz.rules, worked_lukasiewicz.algebra)
     assert theory_hash(clone) == theory_hash(worked_lukasiewicz)
