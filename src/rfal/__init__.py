@@ -51,8 +51,6 @@ from .oracle import (
     BudgetExceededError,
     GridSpec,
     OffGridError,
-    SampledModels,
-    sample_models,
     semantic_degree_grid,
 )
 from .proofs import (

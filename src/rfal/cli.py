@@ -42,15 +42,9 @@ from .logic import (
     parse_implication,
     parse_set,
     parse_theory,
-    truth_degree,
 )
 from .lsets import FuzzySet
-from .oracle import (
-    BudgetExceededError,
-    GridSpec,
-    sample_models,
-    semantic_degree_grid,
-)
+from .oracle import BudgetExceededError, GridSpec, semantic_degree_grid
 from .proofs import Proof, SynthesisError, check_proof, synthesize_proof
 
 EXIT_OK = 0
@@ -86,8 +80,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algebra", choices=[a.value for a in Algebra],
                         help="override the theory file's algebra header")
-    common.add_argument("--max-iter", type=int, default=None,
-                        help="fixpoint iteration cap (default 10000; env RFAL_MAX_ITER)")
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--output", type=Path, default=None,
                         help="write the result here instead of stdout")
@@ -95,18 +87,23 @@ def _build_parser() -> _Parser:
     themed = argparse.ArgumentParser(add_help=False, parents=[common])
     themed.add_argument("--theory", type=Path, required=True, help="theory file")
 
-    p = sub.add_parser("degree", parents=[themed],
+    # only the commands that run a closure take the cap
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--max-iter", type=int, default=None,
+                        help="fixpoint iteration cap (default 10000; env RFAL_MAX_ITER)")
+
+    p = sub.add_parser("degree", parents=[themed, capped],
                        help="provability degree of a query implication")
     p.add_argument("query", help="implication, e.g. '{p:1} => {r:1}'")
     p.set_defaults(func=_cmd_degree)
 
-    p = sub.add_parser("closure", parents=[themed],
+    p = sub.add_parser("closure", parents=[themed, capped],
                        help="least model containing a starting evaluation")
     p.add_argument("start", help="starting evaluation, e.g. '{p:1}'")
     p.add_argument("--trace", action="store_true", help="emit the full JSON trace")
     p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("prove", parents=[themed],
+    p = sub.add_parser("prove", parents=[themed, capped],
                        help="emit a checkable proof certificate for a query")
     p.add_argument("query")
     p.set_defaults(func=_cmd_prove)
@@ -117,19 +114,16 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_check_proof)
 
     p = sub.add_parser("oracle", parents=[themed],
-                       help="brute-force semantic degree and soundness sampling")
+                       help="brute-force semantic degree on a rational grid")
     p.add_argument("query")
-    p.add_argument("--grid-k", type=int, default=None,
+    p.add_argument("--grid-k", type=int, required=True,
                    help="grid denominator for exact lukasiewicz enumeration")
-    p.add_argument("--samples", type=int, default=None,
-                   help="number of sampled models for the soundness check")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=100_000_000,
                    help="maximum nominal grid size (k+1)^n, not the number of "
                         "points the pruned walk visits")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("demo-goedel", parents=[common],
+    p = sub.add_parser("demo-goedel", parents=[common, capped],
                        help="finite-truncation gap table under the goedel algebra")
     p.add_argument("--k-max", type=int, default=50)
     p.set_defaults(func=_cmd_demo_goedel)
@@ -160,14 +154,7 @@ def _load_theory(args) -> Theory:
                 f"'algebra {declared}'",
                 file=sys.stderr,
             )
-    theory = parse_theory(text, algebra_override=override)
-    if theory.algebra is Algebra.GOEDEL:
-        print(
-            "note: the goedel algebra is not complete for graded provability; "
-            "reported degrees may undershoot semantic entailment",
-            file=sys.stderr,
-        )
-    return theory
+    return parse_theory(text, algebra_override=override)
 
 
 def _write(args, refusal: str, payload, lines=None, render=None) -> bool:
@@ -307,54 +294,14 @@ def _cmd_check_proof(args) -> int:
 def _cmd_oracle(args) -> int:
     theory = _load_theory(args)
     query = parse_implication(args.query)
-    if args.grid_k is None and args.samples is None:
-        print("error: oracle needs --grid-k and/or --samples", file=sys.stderr)
-        return EXIT_PARSE
-    limits = _limits(args)
-    sections: dict = {}
-
-    if args.grid_k is not None:
-        variables = tuple(sorted(set(theory.variables()) | query.variables()))
-        spec = GridSpec(args.grid_k, variables)
-        degree = semantic_degree_grid(theory, query, spec, budget=args.budget)
-        sections["grid"] = {
-            "degree": rational_to_json(degree),
-            "denominator": args.grid_k,
-            "variables": list(spec.variables),
-        }
-
-    if args.samples is not None:
-        sampled = sample_models(theory.algebra, theory, query.antecedent,
-                                args.samples, args.seed, limits=limits)
-        engine_degree, trace = provability_degree(theory.algebra, theory, query, limits)
-        truths = [truth_degree(theory.algebra, query, e) for e in sampled.models]
-        violations = sum(1 for t in truths if t < engine_degree)
-        minimum = min(truths, default=None)
-        witness = truth_degree(theory.algebra, query, trace.final)
-        sections["sampling"] = {
-            "engine_degree": rational_to_json(engine_degree),
-            "samples": len(sampled.models),
-            "skipped": sampled.skipped,
-            "violations": violations,
-            "min_truth_degree": rational_to_json(minimum) if minimum is not None else None,
-            "witness_truth_degree": rational_to_json(witness),
-        }
-
-    def lines():
-        if args.grid_k is not None:
-            yield f"grid degree (k={args.grid_k}): {format_degree(degree)}"
-        if args.samples is not None:
-            yield f"engine degree: {format_degree(engine_degree)}"
-            yield f"samples: {len(sampled.models)} (skipped {sampled.skipped})"
-            yield f"soundness violations: {violations}"
-            if minimum is not None:
-                yield f"minimum sampled truth degree: {format_degree(minimum)}"
-            yield f"truth degree at the fixpoint witness: {format_degree(witness)}"
-
-    if not _write(args, "refusing to write: the sampling result", sections, lines):
+    variables = tuple(sorted(set(theory.variables()) | query.variables()))
+    spec = GridSpec(args.grid_k, variables)
+    degree = semantic_degree_grid(theory, query, spec, budget=args.budget)
+    grid = {"degree": rational_to_json(degree), "denominator": args.grid_k,
+            "variables": list(spec.variables)}
+    if not _write(args, "refusing to write: the grid result", {"grid": grid},
+                  lambda: [f"grid degree (k={args.grid_k}): {format_degree(degree)}"]):
         return EXIT_LOWER_BOUND
-    if args.samples is not None and not trace.reached_fixpoint:
-        _warn_capped(trace, "warning: engine hit the iteration cap; sampling against a lower bound")
     return EXIT_OK
 
 

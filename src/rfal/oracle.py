@@ -1,4 +1,4 @@
-"""Independent semantic ground truth and randomized model sampling.
+"""Independent semantic ground truth.
 
 The grid oracle finds the minimum truth degree of a query over every model
 of a theory on an equidistant rational subchain 0, 1/k, ..., 1.  For the
@@ -19,25 +19,21 @@ scaled by k, read from the theory's rule table, and rests on two rules:
   alone when that variable is not in the query's antecedent).
 
 So it visits far fewer than the (k+1)^n points while returning the same
-minimum.  It shares no code with the engine.  No such finite grid exists for
-the product algebra, where the oracle instead provides one-sided soundness
-bounds through seeded model sampling.
+minimum.  It shares no code with the engine.  The walk refuses the product
+and goedel algebras.  Under them a degree d of A => B is checked from outside
+the engine in two halves: a witness W, a model with A inside it and
+S(B, W) = d, bounds it from above (`is_model` and `truth_degree`), and an
+accepted certificate of A => d*B bounds it from below.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra
-from .engine import DEFAULT_LIMITS, EngineLimits, least_model
-from .lsets import FuzzySet, check_var, union
-from .logic import Evaluation, Implication, Theory, _entries
-
-# Most models `sample_models` draws.  Each is a closure of its own, and the
-# count has no other budget: 100,000 on a two-rule theory take seconds.
-MAX_SAMPLES = 100_000
+from .lsets import check_var
+from .logic import Implication, Theory, _entries
 
 
 class OffGridError(ValueError):
@@ -192,68 +188,3 @@ def semantic_degree_grid(
         depth += 1
     return Fraction(best, k)
 
-
-# ---------------------------------------------------------------------------
-# Seeded model sampling
-# ---------------------------------------------------------------------------
-
-def random_degree(rng: random.Random, max_denominator: int = 8, allow_zero: bool = True) -> Fraction:
-    den = rng.randint(1, max_denominator)
-    num = rng.randint(0 if allow_zero else 1, den)
-    return Fraction(num, den)
-
-
-def random_evaluation(
-    rng: random.Random,
-    variables,
-    max_denominator: int = 8,
-    fill: float = 0.6,
-) -> FuzzySet:
-    entries = {}
-    for var in variables:
-        if rng.random() < fill:
-            degree = random_degree(rng, max_denominator, allow_zero=False)
-            entries[var] = degree
-    return FuzzySet(entries)
-
-
-@dataclass(frozen=True)
-class SampledModels:
-    """Models produced by seeded sampling; `skipped` counts cap exhaustions."""
-
-    models: tuple[Evaluation, ...]
-    skipped: int
-
-
-def sample_models(
-    alg: Algebra,
-    theory: Theory,
-    base: Evaluation,
-    count: int,
-    seed: int,
-    *,
-    limits: EngineLimits = DEFAULT_LIMITS,
-    max_denominator: int = 8,
-) -> SampledModels:
-    """Seeded models of the theory, each containing `base`.
-
-    Every sample closes a random rational superset of `base` over the
-    theory's variable universe, so the postcondition that each returned
-    evaluation is a model holds by construction.
-    """
-    if count < 0:
-        raise ValueError(f"the sample count must not be negative, got {count}")
-    if count > MAX_SAMPLES:
-        raise ValueError(f"the sample count must be at most {MAX_SAMPLES}, got {count}")
-    rng = random.Random(seed)
-    universe = sorted(set(theory.variables()) | set(base.support()))
-    models: list[Evaluation] = []
-    skipped = 0
-    for _ in range(count):
-        candidate = union(base, random_evaluation(rng, universe, max_denominator))
-        trace = least_model(alg, theory, candidate, limits)
-        if trace.reached_fixpoint:
-            models.append(trace.final)
-        else:
-            skipped += 1
-    return SampledModels(tuple(models), skipped)

@@ -1,10 +1,10 @@
-"""Shared test harness: seeded random instances, closure-law checks, the
-brute-force grid reference and the forward-chain certificate reference.
+"""Shared test harness: seeded random instances, engine-free models and the
+witness check, closure-law checks, the brute-force grid reference and the
+forward-chain certificate reference.
 
 Everything is driven by an explicit `random.Random` seed, so test and
 acceptance runs are reproducible bit for bit.  Nothing here is used by the
-command line; `random_degree` and `random_evaluation` stay in `rfal.oracle`
-because model sampling needs them.
+command line.
 """
 
 from __future__ import annotations
@@ -35,12 +35,31 @@ from rfal import (
 )
 from rfal.algebra import ONE
 from rfal.engine import ClosureTrace
-from rfal.oracle import random_evaluation
 
 
 # ---------------------------------------------------------------------------
 # Seeded random instances
 # ---------------------------------------------------------------------------
+
+def random_degree(rng: random.Random, max_denominator: int = 8, allow_zero: bool = True) -> Fraction:
+    den = rng.randint(1, max_denominator)
+    num = rng.randint(0 if allow_zero else 1, den)
+    return Fraction(num, den)
+
+
+def random_evaluation(
+    rng: random.Random,
+    variables,
+    max_denominator: int = 8,
+    fill: float = 0.6,
+) -> FuzzySet:
+    entries = {}
+    for var in variables:
+        if rng.random() < fill:
+            degree = random_degree(rng, max_denominator, allow_zero=False)
+            entries[var] = degree
+    return FuzzySet(entries)
+
 
 def random_implication(rng: random.Random, variables, max_denominator: int = 8) -> Implication:
     return Implication(
@@ -78,6 +97,50 @@ def random_grid_theory(rng: random.Random, k: int, variables, max_rules: int = 4
         for _ in range(rng.randint(1, max_rules))
     )
     return Theory(rules, Algebra.LUKASIEWICZ)
+
+
+# ---------------------------------------------------------------------------
+# Engine-free models and the witness check
+# ---------------------------------------------------------------------------
+
+def random_model(
+    rng: random.Random,
+    alg: Algebra,
+    theory: Theory,
+    base: Evaluation,
+    variables,
+    max_denominator: int = 8,
+) -> Evaluation:
+    """A model of the theory that contains `base`, built without the engine.
+
+    Starts from `base` joined with a random evaluation of `variables`.  While
+    some rule is not fully true, every variable of its consequent is set to 1,
+    which makes that rule true.  A failing rule has a consequent variable
+    below 1, so each pass raises one more variable to 1 for good, and the loop
+    ends within one pass per variable.  The result is usually not the least
+    model containing `base`.
+    """
+    model = union(base, random_evaluation(rng, variables, max_denominator))
+    while True:
+        failing = next((rule for rule in theory.rules if truth_degree(alg, rule, model) < ONE),
+                       None)
+        if failing is None:
+            return model
+        model = union(model, FuzzySet(dict.fromkeys(failing.consequent.support(), ONE)))
+
+
+def is_witness(
+    alg: Algebra, theory: Theory, query: Implication, degree: Fraction, witness: Evaluation
+) -> bool:
+    """The upper half of an exact degree, checked with `rfal.logic` alone.
+
+    The witness W is a model of the theory that contains the query's
+    antecedent A, and the query is true in it exactly to `degree`, so the
+    theory semantically entails the query to at most `degree`.  An accepted
+    certificate of `A => degree*B` gives the lower half.
+    """
+    return (is_contained(query.antecedent, witness) and is_model(alg, theory, witness)
+            and truth_degree(alg, query, witness) == degree)
 
 
 # ---------------------------------------------------------------------------

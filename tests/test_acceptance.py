@@ -1,8 +1,8 @@
 """Acceptance suite: the exit criteria for the whole package.
 
 Each test prints one pass/fail line (visible with `pytest -s` or in captured
-output).  Every engine run on a lukasiewicz or product theory must reach an
-exact fixpoint under the default iteration cap; a cap hit anywhere in this
+output).  Every engine run on a lukasiewicz, product or goedel theory must
+reach an exact fixpoint under the default iteration cap; a cap hit anywhere in this
 module is a failure.
 """
 
@@ -15,13 +15,12 @@ from rfal import (
     FuzzySet,
     GridSpec,
     Implication,
+    Proof,
     Theory,
-    is_contained,
     is_model,
     least_model,
     provability_degree,
     residuum,
-    sample_models,
     scalar_multiple,
     semantic_degree_grid,
     check_proof,
@@ -30,19 +29,22 @@ from rfal import (
     truth_degree,
     union,
 )
+from rfal.algebra import ONE
 from rfal.cli import goedel_gap_rows
-from rfal.oracle import random_evaluation
 
 from conftest import fs, imp
 from harness import (
     check_closure_laws,
+    is_witness,
+    random_evaluation,
     random_grid_set,
     random_grid_theory,
     random_implication,
+    random_model,
     random_theory,
 )
 
-L, P = Algebra.LUKASIEWICZ, Algebra.PRODUCT
+L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 
 
 def report(name, detail):
@@ -193,23 +195,44 @@ def test_certificate_round_trip():
     report("certificate-round-trip", "; ".join(counts))
 
 
-def test_product_soundness_sampling():
-    # every sampled model respects the engine degree, with equality attained
-    # at the fixpoint witness; 100 product theories, 1000 samples each
-    rng = random.Random(404)
+def check_degrees_from_outside(alg, seed):
+    """Check 200 engine degrees without trusting the engine; returns a summary.
+
+    The upper half: the engine's least model is a witness (`is_witness`).  The
+    lower half: the certificate of `A => d*B` is ACCEPTed after a round trip.
+    Then 50 models per theory, built by `random_model` without the engine,
+    each contain A and pass `is_model`; the query holds in each to at least d,
+    and every step of the certificate holds in each to degree 1.
+    """
+    rng = random.Random(seed)
     variables = ("p", "q", "r")
-    total_models = 0
-    for index in range(100):
-        theory = random_theory(rng, P, variables, max_rules=3, max_denominator=6)
+    models = tight = 0
+    for _ in range(200):
+        theory = random_theory(rng, alg, variables, max_rules=3, max_denominator=6)
         query = random_implication(rng, variables, max_denominator=6)
-        degree, trace = run_degree(P, theory, query)
-        assert truth_degree(P, query, trace.final) == degree
-        sampled = sample_models(P, theory, query.antecedent, 1000, seed=5000 + index)
-        assert sampled.skipped == 0
-        for model in sampled.models:
-            assert truth_degree(P, query, model) >= degree
-        total_models += len(sampled.models)
-    report("product-soundness-sampling", f"100 theories, {total_models} models, 0 violations")
+        degree, trace = run_degree(alg, theory, query)
+        assert is_witness(alg, theory, query, degree, trace.final)
+        proof = synthesize_proof(alg, theory, query, trace)
+        assert check_proof(alg, theory, Proof.loads(proof.dumps())).accepted
+        assert proof.conclusion == Implication(
+            query.antecedent, scalar_multiple(alg, degree, query.consequent))
+        for _ in range(50):
+            model = random_model(rng, alg, theory, query.antecedent, variables, 6)
+            assert is_model(alg, theory, model)
+            truth = truth_degree(alg, query, model)
+            assert truth >= degree
+            assert all(truth_degree(alg, step.formula, model) == ONE for step in proof.steps)
+            models += 1
+            tight += truth == degree
+    return f"200 witnesses and certificates, {models} models ({tight} tight), 0 violations"
+
+
+def test_product_soundness_sampling():
+    report("product-soundness-sampling", check_degrees_from_outside(P, 404))
+
+
+def test_goedel_soundness_sampling():
+    report("goedel-soundness-sampling", check_degrees_from_outside(G, 405))
 
 
 def test_termination_under_the_default_cap():
@@ -273,18 +296,19 @@ def test_worked_examples_oracle_first():
     assert engine_degree == oracle_degree == Fraction(9, 10)
 
     # product theory: no finite grid exists, so the oracle evidence is a
-    # hand-built witness model plus sampled lower bounds
+    # hand-built witness model (the upper bound) and models built without the
+    # engine, each of which holds the query to at least that degree
     worked_p = Theory((imp({"p": "1/2"}, {"q": "4/5"}),), P)
     query_p = imp({"p": "1/4"}, {"q": "1"})
     firing = residuum(P, Fraction(1, 2), Fraction(1, 4))
     witness = union(fs(p="1/4"), FuzzySet({"q": tnorm(P, firing, Fraction(4, 5))}))
     assert witness == fs(p="1/4", q="2/5")
-    assert is_model(P, worked_p, witness)
-    assert is_contained(query_p.antecedent, witness)
-    assert truth_degree(P, query_p, witness) == Fraction(2, 5)
-    sampled = sample_models(P, worked_p, query_p.antecedent, 1000, seed=808)
-    assert sampled.skipped == 0
-    assert all(truth_degree(P, query_p, e) >= Fraction(2, 5) for e in sampled.models)
+    assert is_witness(P, worked_p, query_p, Fraction(2, 5), witness)
+    rng = random.Random(808)
+    for _ in range(1000):
+        model = random_model(rng, P, worked_p, query_p.antecedent, ("p", "q"))
+        assert is_model(P, worked_p, model)
+        assert truth_degree(P, query_p, model) >= Fraction(2, 5)
     engine_degree, _ = run_degree(P, worked_p, query_p)
     assert engine_degree == Fraction(2, 5)
     report("worked-examples-oracle-first", "lukasiewicz 9/10 and product 2/5 reproduced")

@@ -39,10 +39,9 @@ from rfal import (
 )
 from rfal.engine import MAX_GRID_BITS, grid_denominator
 from rfal.proofs import cut_conclusion
-from rfal.oracle import random_evaluation
 
 from conftest import imp
-from harness import random_theory
+from harness import random_evaluation, random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 

@@ -24,10 +24,9 @@ from rfal import (
     union,
 )
 from rfal import engine
-from rfal.oracle import random_evaluation, sample_models
 
 from conftest import IDLE_RULES_PROBE, SETTLED_VARIABLES_PROBE, fs, imp
-from harness import random_implication, random_theory
+from harness import random_evaluation, random_implication, random_model, random_theory
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 
@@ -100,15 +99,16 @@ class TestLeastModel:
             assert is_model(alg, theory, trace.final)
 
     def test_leastness_against_sampled_models(self):
+        # the models are built without the engine, so they are not closures
         rng = random.Random(32)
-        for i in range(25):
-            alg = rng.choice((L, P))
+        for _ in range(25):
+            alg = rng.choice((L, P, G))
             theory = random_theory(rng, alg, ("p", "q", "r"))
             start = random_evaluation(rng, ("p", "q"))
             closure = least_model(alg, theory, start).final
-            sampled = sample_models(alg, theory, start, count=20, seed=1000 + i)
-            assert not sampled.skipped
-            for model in sampled.models:
+            for _ in range(20):
+                model = random_model(rng, alg, theory, start, ("p", "q", "r"))
+                assert is_model(alg, theory, model)
                 assert is_contained(closure, model)
 
     def test_cap_yields_lower_approximation(self, worked_lukasiewicz):
@@ -252,13 +252,13 @@ class TestDegreeLaws:
 class TestSemanticInvariants:
     def test_soundness_over_sampled_models(self):
         rng = random.Random(39)
-        for i in range(20):
-            alg = rng.choice((L, P))
+        for _ in range(20):
+            alg = rng.choice((L, P, G))
             theory = random_theory(rng, alg, ("p", "q", "r"))
             query = random_implication(rng, ("p", "q", "r"))
             degree, _ = provability_degree(alg, theory, query)
-            sampled = sample_models(alg, theory, FuzzySet(), count=50, seed=2000 + i)
-            for model in sampled.models:
+            for _ in range(50):
+                model = random_model(rng, alg, theory, FuzzySet(), ("p", "q", "r"))
                 assert truth_degree(alg, query, model) >= degree
 
     def test_tightness_at_the_fixpoint_witness(self):

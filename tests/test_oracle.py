@@ -1,14 +1,15 @@
+import ast
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rfal import (
     Algebra,
     BudgetExceededError,
-    FuzzySet,
     GridSpec,
     Implication,
     OffGridError,
@@ -18,16 +19,19 @@ from rfal import (
     least_model,
     parse_theory,
     provability_degree,
-    sample_models,
     semantic_degree_grid,
     subsethood,
 )
+from rfal import oracle
 
 from conftest import fs, imp
 from harness import (
     check_closure_laws,
+    is_witness,
     random_grid_set,
     random_grid_theory,
+    random_model,
+    random_theory,
     reference_grid_degree,
 )
 
@@ -216,27 +220,58 @@ class TestGridSpec:
             GridSpec(0, ("p",))
 
 
+def test_the_oracle_imports_nothing_from_the_engine():
+    # the grid oracle is ground truth for the engine only while it shares no
+    # code with it
+    modules = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("rfal" if node.level else "", node.module)))
+            modules.add(module)
+            modules.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "rfal.logic" in modules
+    assert not [m for m in modules if m == "rfal.engine" or m.startswith("rfal.engine.")]
+
+
 class TestSampleModels:
-    def test_zero_count(self, worked_product):
-        sampled = sample_models(P, worked_product, FuzzySet(), 0, seed=1)
-        assert sampled.models == ()
-        assert sampled.skipped == 0
+    """`random_model` builds models without the engine."""
 
     def test_every_sample_is_a_model_containing_base(self, worked_product):
+        rng = random.Random(2)
         base = fs(p="1/4")
-        sampled = sample_models(P, worked_product, base, 50, seed=2)
-        assert not sampled.skipped
-        assert len(sampled.models) == 50
-        for model in sampled.models:
+        closure = least_model(P, worked_product, base).final
+        models = [random_model(rng, P, worked_product, base, ("p", "q")) for _ in range(50)]
+        for model in models:
             assert is_contained(base, model)
             assert is_model(P, worked_product, model)
+        assert any(model != closure for model in models)
+        for _ in range(150):  # and on random theories under every algebra
+            alg = rng.choice((L, P, G))
+            theory = random_theory(rng, alg, ("p", "q", "r"))
+            model = random_model(rng, alg, theory, base, ("p", "q", "r"))
+            assert is_contained(base, model)
+            assert is_model(alg, theory, model)
 
     def test_fixed_seed_is_reproducible(self, worked_lukasiewicz):
-        a = sample_models(L, worked_lukasiewicz, fs(p="1/2"), 30, seed=7)
-        b = sample_models(L, worked_lukasiewicz, fs(p="1/2"), 30, seed=7)
-        assert a == b
-        c = sample_models(L, worked_lukasiewicz, fs(p="1/2"), 30, seed=8)
-        assert a != c
+        def draw(seed):
+            rng = random.Random(seed)
+            return [random_model(rng, L, worked_lukasiewicz, fs(p="1/2"), ("p", "q", "r"))
+                    for _ in range(30)]
+
+        assert draw(7) == draw(7)
+        assert draw(7) != draw(8)
+
+
+def test_the_witness_check_needs_each_of_its_three_conditions(worked_product):
+    # each rejected evaluation holds the query to exactly 2/5 and fails one
+    # condition: it misses the antecedent {p:1/4}, or it breaks the rule
+    query, degree = imp({"p": "1/4"}, {"q": "1"}), Fraction(2, 5)
+    assert is_witness(P, worked_product, query, degree, fs(p="1/4", q="2/5"))
+    assert not is_witness(P, worked_product, query, Fraction(1, 2), fs(p="1/4", q="2/5"))
+    assert not is_witness(P, worked_product, query, degree, fs(p="1/8", q="1/5"))
+    assert not is_witness(P, worked_product, query, degree, fs(p="1/2", q="2/5"))
 
 
 class TestClosureLaws:

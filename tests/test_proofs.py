@@ -38,7 +38,6 @@ from rfal.proofs import (
     NOT_IN_THEORY,
 )
 from rfal.engine import ClosureTrace
-from rfal.oracle import sample_models
 
 from conftest import (
     DEEP_ANTE_CERTIFICATE,
@@ -47,7 +46,7 @@ from conftest import (
     fs,
     imp,
 )
-from harness import random_implication, random_theory, reference_forward_proof
+from harness import random_implication, random_model, random_theory, reference_forward_proof
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 
@@ -348,30 +347,30 @@ class TestSynthesis:
 
     def test_accepted_conclusions_hold_in_sampled_models(self):
         rng = random.Random(52)
-        for i in range(15):
-            alg = rng.choice((L, P))
+        for _ in range(15):
+            alg = rng.choice((L, P, G))
             theory = random_theory(rng, alg, ("p", "q", "r"), max_rules=3)
             query = random_implication(rng, ("p", "q", "r"))
             _, trace = provability_degree(alg, theory, query)
             proof = synthesize_proof(alg, theory, query, trace)
             assert check_proof(alg, theory, proof).accepted
-            sampled = sample_models(alg, theory, FuzzySet(), count=30, seed=3000 + i)
-            for model in sampled.models:
+            for _ in range(30):
+                model = random_model(rng, alg, theory, query.antecedent, ("p", "q", "r"))
                 assert truth_degree(alg, proof.conclusion, model) == 1
 
     def test_every_step_of_an_accepted_proof_is_semantically_sound(self):
         # the deductive system only ever derives formulas that hold fully in
         # every model, so each intermediate step must evaluate to 1 as well
         rng = random.Random(54)
-        for i in range(10):
-            alg = rng.choice((L, P))
+        for _ in range(10):
+            alg = rng.choice((L, P, G))
             theory = random_theory(rng, alg, ("p", "q", "r"), max_rules=3)
             query = random_implication(rng, ("p", "q", "r"))
             _, trace = provability_degree(alg, theory, query)
             proof = synthesize_proof(alg, theory, query, trace)
             assert check_proof(alg, theory, proof).accepted
-            sampled = sample_models(alg, theory, FuzzySet(), count=15, seed=4000 + i)
-            for model in sampled.models:
+            for _ in range(15):
+                model = random_model(rng, alg, theory, query.antecedent, ("p", "q", "r"))
                 for pstep in proof.steps:
                     assert truth_degree(alg, pstep.formula, model) == 1
 
