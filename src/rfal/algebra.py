@@ -121,10 +121,9 @@ def rational_from_json(obj) -> Fraction:
         raise ValueError(f"rational fields must be integers: {brief(obj)}")
     if den <= 0:
         raise ValueError(f"nonpositive denominator: {brief(obj)}")
-    q = Fraction(num, den)
-    if q < 0 or q > 1:
+    if not 0 <= num <= den:
         raise ValueError(f"degree out of range [0, 1]: {brief(obj)}")
-    return q
+    return Fraction(num, den)
 
 
 def decimal_expansion(q: Fraction) -> str:

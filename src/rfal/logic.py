@@ -23,11 +23,12 @@ The parser has two readers.  `parse_theory` reads a plain rule line, `SET =>
 SET` with an optional comment, in one step: one regex, built from the
 set-literal grammar, matches the whole line, and one `findall` per set reads
 its entries into the table, each distinct degree literal being decoded once
-per parse.  The character scanner reads everything else: the header, graded
-rules, any line with a duplicate variable or a literal that names no degree,
-and every query and set literal (`parse_implication`, `parse_set`).  So every
+per parse.  `parse_implication` reads a query the same way, with the same
+regex less its comment part.  The character scanner reads everything else:
+the header, graded rules, any line or query with a duplicate variable or a
+literal that names no degree, and every set literal (`parse_set`).  So every
 error is reported by the scanner, with its position, and the scanner is the
-reference the rule-line regex is tested against.
+reference both regexes are tested against.
 """
 
 from __future__ import annotations
@@ -185,8 +186,9 @@ _ALGEBRA_NAMES = {alg.value: alg for alg in Algebra}
 
 class _Scanner:
     """Single-line cursor with 1-based position reporting: the character
-    scanner, which reads every line the rule-line regex does not (the header,
-    graded rules, refused lines) and every query and set literal."""
+    scanner, which reads every line and query the rule-line and formula
+    regexes do not (the header, graded rules, refused ones) and every set
+    literal."""
 
     def __init__(self, text: str, line_no: int = 1):
         self.text = text
@@ -321,8 +323,10 @@ def _literal_degree(literal: str) -> Fraction | None:
     return degree if degree else ZERO
 
 
-# A whole plain rule line, `SET => SET` with an optional comment.
-_RULE_LINE = re.compile(rf"({_SET_LITERAL})[ \t]*=>({_SET_LITERAL})[ \t]*(?:#.*)?")
+# A whole formula `SET => SET`, and a whole plain rule line: a formula with
+# an optional comment.
+_FORMULA = re.compile(rf"({_SET_LITERAL})[ \t]*=>({_SET_LITERAL})[ \t]*")
+_RULE_LINE = re.compile(rf"{_FORMULA.pattern}(?:#.*)?")
 
 
 def _rule_side(pairs, degrees: dict, denominators: set) -> tuple[Entry, ...] | None:
@@ -405,6 +409,13 @@ def file_header_algebra(text: str) -> str | None:
 
 def parse_implication(text: str) -> Implication:
     """Parse a single `SET => SET` formula (no graded sugar)."""
+    m = _FORMULA.fullmatch(text)
+    if m is not None:
+        degrees, denominators = {}, set()
+        sides = [_rule_side(_SET_ENTRY.findall(text, m.start(i), m.end(i)), degrees,
+                            denominators) for i in (1, 2)]
+        if None not in sides:
+            return Implication(_view(sides[0]), _view(sides[1]))
     sc = _Scanner(text)
     formula = _scan_implication(sc)
     if not sc.at_end():

@@ -117,7 +117,10 @@ class FuzzySet:
     def from_json(cls, obj) -> "FuzzySet":
         if not isinstance(obj, dict):
             raise ValueError(f"malformed fuzzy-set object: {brief(obj)}")
-        return cls({var: rational_from_json(value) for var, value in obj.items()})
+        # every degree, then every name, is validated once; zeros are dropped
+        degrees = [rational_from_json(value) for value in obj.values()]
+        names = [check_var(var) for var in obj]
+        return cls._raw({var: q for var, q in zip(names, degrees) if q})
 
 
 def union(*sets: FuzzySet) -> FuzzySet:

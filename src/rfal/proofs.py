@@ -16,7 +16,9 @@ their formula (`ante`, `cons`); `hyp`, `cut` and `mul` steps carry only
 `rule`, `premises`, `hyp_index` and `scalar`.  A derived step may still state
 its formula, as older certificates do; the stated formula must then equal the
 derived one.  The certificate's `conclusion` must equal the last derived
-formula.
+formula.  `Proof.dumps` writes compact JSON, with no whitespace between
+tokens; `Proof.loads` reads any layout, so indented certificates read the same
+and carry no version field.  The loader validates each name and degree once.
 
 The synthesizer turns an engine trace into a certificate of `A => d*B`, with
 d the provability degree, using primitive steps only.  It walks the rule
@@ -24,13 +26,16 @@ contributions backward from the goal `d*B`, keeping the frontier `X` that
 the goal still needs, and certifies only the contributions that raise some
 part of it: why-provenance (Buneman, Khanna & Tan, ICDT 2001) built into the
 proof shape.  A certificate has at most 3 + #hyp + #mul + 3m steps, for m
-certified contributions.
+certified contributions.  Its forward pass computes on the engine's encoding
+of the same closure (see `rfal.engine`), not on Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,7 +43,7 @@ from fractions import Fraction
 
 from .algebra import (ZERO, Algebra, as_unit_degree, brief, rational_from_json, rational_to_json,
                       tnorm)
-from .engine import ClosureTrace
+from .engine import ClosureTrace, _times, grid_denominator
 from .lsets import FuzzySet, is_contained, scalar_multiple, subsethood, union
 from .logic import Implication, Theory, serialize_theory
 
@@ -135,7 +140,8 @@ class Proof:
             raise ProofFormatError(f"malformed proof certificate: {exc}") from exc
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        # compact, and the tree `to_json` builds has no cycles to look for
+        return json.dumps(self.to_json(), separators=(",", ":"), check_circular=False)
 
     @classmethod
     def loads(cls, text: str) -> "Proof":
@@ -302,6 +308,72 @@ class ProofBuilder:
         return Proof(theory_hash(self._theory), tuple(self._steps), self._formulas[-1])
 
 
+def _contributions(alg: Algebra, theory: Theory, trace: ClosureTrace):
+    """The forward pass of `synthesize_proof`, on the encoding `least_model`
+    used for the same trace.
+
+    Returns the contributions as (rule index, c) pairs and the history of
+    each variable as (contribution indices, raised values), each value a
+    (numerator, denominator) pair that need not be in lowest terms.
+    """
+    a = trace.start
+    grid = grid_denominator(alg, theory, a)
+    if alg is Algebra.PRODUCT:  # normalised pairs, compared by cross-multiplication
+        zero, times, ratio = (0, 1), _times, lambda v: v
+        encode = lambda q: (q.numerator, q.denominator)
+        above = lambda x, y: x[0] * y[1] > y[0] * x[1]
+    elif grid is None:  # past MAX_GRID_BITS: Fractions
+        zero, encode, above = ZERO, lambda q: q, operator.gt
+        times, ratio = functools.partial(tnorm, alg), lambda v: (v.numerator, v.denominator)
+    else:  # integers scaled by the grid D
+        def encode(q):
+            scale, off = divmod(grid, q.denominator)
+            if off:  # every value of a closure from `a` lies on the grid
+                raise SynthesisError("trace firing log is inconsistent with its steps: "
+                                     "a value lies off the grid")
+            return q.numerator * scale
+
+        zero, above, ratio = 0, operator.gt, lambda v: (v, grid)
+        # a Lukasiewicz value at or below 0 is 0, which raises nothing
+        times = (lambda c, g: c + g - grid) if alg is Algebra.LUKASIEWICZ else min
+
+    table = theory.table
+    contributions: list[tuple[int, Fraction]] = []
+    history: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
+    last_degree: dict[int, object] = {}
+    consequents: dict[int, list] = {}  # G of each rule that fired, encoded
+    grown = {var: encode(q) for var, q in a.items()}
+    for raised, firings in trace.walk():
+        moved = set()
+        for rule_index, c in firings:
+            if not c:
+                continue
+            code = encode(c)
+            if last_degree.get(rule_index) == code:
+                continue
+            last_degree[rule_index] = code
+            consequent = consequents.get(rule_index)
+            if consequent is None:
+                consequent = consequents[rule_index] = [
+                    (var, encode(g)) for var, g, _, _ in table[rule_index][1]]
+            k, raises = len(contributions), False
+            for var, g in consequent:  # c*G, entry by entry
+                value = times(code, g)
+                if above(value, grown.get(var, zero)):
+                    grown[var] = value
+                    indices, values = history.setdefault(var, ([], []))
+                    indices.append(k)
+                    values.append(ratio(value))
+                    moved.add(var)
+                    raises = True
+            if raises:
+                contributions.append((rule_index, c))
+        if not moved <= raised.keys() or any(grown.get(var) != encode(q)
+                                             for var, q in raised.items()):
+            raise SynthesisError("trace firing log is inconsistent with its steps")
+    return contributions, history
+
+
 def synthesize_proof(
     alg: Algebra,
     theory: Theory,
@@ -324,9 +396,23 @@ def synthesize_proof(
     firings raised only variables the trace says it raised, to the values it
     raised them to.
 
+    The forward pass computes on the encoding `least_model` chose for the
+    same closure, by the same test: under Lukasiewicz and Goedel integers
+    scaled by D = `grid_denominator(alg, theory, A)`, where c*g is
+    max(0, c + g - D) or min(c, g); under product normalised (numerator,
+    denominator) pairs, multiplied by `rfal.engine._times` and compared by
+    cross-multiplication; past MAX_GRID_BITS Fractions.  Each encoding is
+    exact and one-to-one on the values the closure can reach, so the check
+    against the trace compares the same values as on Fractions and keeps its
+    strength; a degree or value of the trace that lies off the grid fails it.
+    Each rule's consequent is encoded when the rule first fires at a changed
+    degree, and the trace's degrees and raised values as they are read.
+
     A backward pass then keeps one formula `X => d*B`, starting from the
     axiom `d*B => d*B`, and states only what the query still needs.  A
-    contribution whose W_k already contains X is skipped.  Otherwise:
+    contribution whose W_k already contains X is skipped; X's degrees, which
+    need not lie on the grid, are cross-multiplied with the history's values.
+    Otherwise:
 
       mul   c*F => c*G           from the hypothesis F => G, unless c = 1
       cut   c*F|X' => X          with the axiom X|c*G => X, unless c*G lies in X
@@ -338,7 +424,8 @@ def synthesize_proof(
     conclusion.  So a certificate of m contributions has at most
     3 + #hyp + #mul + 3m steps, with each hypothesis written once.  Refuses
     traces that did not reach a fixpoint, since a lower bound cannot be
-    certified as the degree.
+    certified as the degree.  Every step goes through `derive`, so soundness
+    does not rest on the encodings.
     """
     if not trace.reached_fixpoint:
         raise SynthesisError("cannot certify a degree from a capped (non-fixpoint) trace")
@@ -354,46 +441,26 @@ def synthesize_proof(
         builder.axiom(a, goal)
         return builder.build()
 
-    table = theory.table
-    contributions: list[tuple[int, Fraction]] = []  # (rule index, c)
-    history: dict[str, tuple[list[int], list[Fraction]]] = {}
-    last_degree: dict[int, Fraction] = {}
-    grown = dict(a.items())
-    for raised, firings in trace.walk():
-        moved = set()
-        for rule_index, c in firings:
-            if not c or last_degree.get(rule_index) == c:
-                continue
-            last_degree[rule_index] = c
-            k, raises = len(contributions), False
-            for var, g, _, _ in table[rule_index][1]:  # c*G, entry by entry
-                value = g if c == 1 else tnorm(alg, c, g)
-                if value > grown.get(var, ZERO):
-                    grown[var] = value
-                    indices, values = history.setdefault(var, ([], []))
-                    indices.append(k)
-                    values.append(value)
-                    moved.add(var)
-                    raises = True
-            if raises:
-                contributions.append((rule_index, c))
-        if not moved <= raised.keys() or any(grown.get(var) != q for var, q in raised.items()):
-            raise SynthesisError("trace firing log is inconsistent with its steps")
+    contributions, history = _contributions(alg, theory, trace)
 
-    def before(k: int, var: str) -> Fraction:
-        """The value of `var` in W_k, the closure before contribution k."""
-        entry = history.get(var)
-        if entry is not None:
-            indices, values = entry
-            i = bisect_left(indices, k)
+    def inside(x: FuzzySet, k: int) -> bool:
+        """Whether X lies in W_k."""
+        for var, q in x.items():
+            entry = history.get(var)
+            i = 0 if entry is None else bisect_left(entry[0], k)
             if i:
-                return values[i - 1]
-        return a.degree(var)
+                vn, vd = entry[1][i - 1]
+            else:
+                w = a.degree(var)
+                vn, vd = w.numerator, w.denominator
+            if q.numerator * vd > vn * q.denominator:
+                return False
+        return True
 
     x = goal
     current = builder.axiom(goal, goal)  # X => d*B
     for k in reversed(range(len(contributions))):
-        if all(q <= before(k, var) for var, q in x.items()):
+        if inside(x, k):
             continue
         rule_index, c = contributions[k]
         hypothesis = builder.hypothesis(rule_index)

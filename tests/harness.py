@@ -1,6 +1,7 @@
 """Shared test harness: seeded random instances, engine-free models and the
-witness check, closure-law checks, the brute-force grid reference and the
-forward-chain certificate reference.
+witness check, closure-law checks, the brute-force grid reference, the
+forward-chain certificate reference and the Fraction reference of the
+synthesizer's forward pass.
 
 Everything is driven by an explicit `random.Random` seed, so test and
 acceptance runs are reproducible bit for bit.  Nothing here is used by the
@@ -24,16 +25,18 @@ from rfal import (
     Implication,
     Proof,
     ProofBuilder,
+    SynthesisError,
     Theory,
     is_contained,
     is_model,
     least_model,
     scalar_multiple,
     subsethood,
+    tnorm,
     truth_degree,
     union,
 )
-from rfal.algebra import ONE
+from rfal.algebra import ONE, ZERO
 from rfal.engine import ClosureTrace
 
 
@@ -216,6 +219,46 @@ def reference_forward_proof(
             grown = widened
     builder.cut(accumulated, builder.axiom(grown, goal))
     return builder.build()
+
+
+def reference_contributions(alg: Algebra, theory: Theory, trace: ClosureTrace):
+    """The forward pass of `synthesize_proof` on Fractions, whatever the algebra.
+
+    Walks the trace keeping `grown`, the closure so far, as a dict of
+    Fractions.  Each firing of a rule `F => G` at a nonzero degree c other
+    than the one it last fired at computes c*G with `tnorm`; it is a
+    contribution if it raises some value of `grown`, and each value it raises
+    joins that variable's history.  After each step the values raised must be
+    the trace's.  Returns what `rfal.proofs._contributions` returns: the
+    (rule index, c) pairs and, per variable, the contribution indices and the
+    values raised as (numerator, denominator) pairs, so it can stand in for
+    it.
+    """
+    contributions: list[tuple[int, Fraction]] = []
+    history: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
+    last_degree: dict[int, Fraction] = {}
+    grown = dict(trace.start.items())
+    for raised, firings in trace.walk():
+        moved = set()
+        for rule_index, c in firings:
+            if not c or last_degree.get(rule_index) == c:
+                continue
+            last_degree[rule_index] = c
+            k, raises = len(contributions), False
+            for var, g, _, _ in theory.table[rule_index][1]:
+                value = g if c == 1 else tnorm(alg, c, g)
+                if value > grown.get(var, ZERO):
+                    grown[var] = value
+                    indices, values = history.setdefault(var, ([], []))
+                    indices.append(k)
+                    values.append((value.numerator, value.denominator))
+                    moved.add(var)
+                    raises = True
+            if raises:
+                contributions.append((rule_index, c))
+        if not moved <= raised.keys() or any(grown.get(var) != q for var, q in raised.items()):
+            raise SynthesisError("trace firing log is inconsistent with its steps")
+    return contributions, history
 
 
 # ---------------------------------------------------------------------------

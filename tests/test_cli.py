@@ -321,6 +321,19 @@ class TestProveAndCheck:
         assert code == 0
         assert out.strip() == "ACCEPT"
 
+    def test_an_indented_certificate_is_accepted(self, capsys, worked_file, tmp_path):
+        # `prove` writes the compact layout; the indented one written before
+        # it reads the same, since JSON ignores the whitespace between tokens
+        cert = tmp_path / "proof.json"
+        assert run(capsys, "prove", "--theory", str(worked_file), "--output", str(cert),
+                   "{p:1/2} => {r:1}")[0] == 0
+        text = cert.read_text()
+        assert text.count("\n") == 1 and " " not in text
+        cert.write_text(json.dumps(json.loads(text), indent=2) + "\n")
+        code, out, _ = run(capsys, "check-proof", "--theory", str(worked_file), str(cert))
+        assert code == 0
+        assert out.strip() == "ACCEPT"
+
     def test_files_saved_with_a_bom_are_read(self, capsys, worked_file, tmp_path):
         # an editor's UTF-8 byte order mark is not part of the theory or the certificate
         theory = tmp_path / "bom.rfal"

@@ -6,8 +6,10 @@ matcher against an existential search over all decompositions, the
 simultaneous fixpoint iteration against sequential rule-at-a-time iteration,
 the semi-naive closure loop, in each of its encodings, with its jumps along
 slow ascents, and on rule tables both built from `Implication`s and parsed
-from text, against a dense loop that fires every rule at every step,
-and the engine against exhaustive enumeration of every tiny theory.
+from text, against a dense loop that fires every rule at every step, the
+synthesizer's forward pass on the engine's encodings against the same pass
+on Fractions, and the engine against exhaustive enumeration of every tiny
+theory.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from rfal import (
     GridSpec,
     Implication,
     Theory,
+    check_proof,
     is_model,
     least_model,
     parse_theory,
@@ -33,15 +36,17 @@ from rfal import (
     semantic_degree_grid,
     serialize_theory,
     subsethood,
+    synthesize_proof,
     tnorm,
     truth_degree,
     union,
 )
+from rfal import proofs
 from rfal.engine import MAX_GRID_BITS, grid_denominator
 from rfal.proofs import cut_conclusion
 
 from conftest import imp
-from harness import random_evaluation, random_theory
+from harness import random_evaluation, random_theory, reference_contributions
 
 L, P, G = Algebra.LUKASIEWICZ, Algebra.PRODUCT, Algebra.GOEDEL
 
@@ -442,6 +447,56 @@ class TestScaledEncodingsAgainstDenseLoop:
                 capped += not trace.reached_fixpoint
         assert sides == {(alg, below) for alg in (L, P, G) for below in (True, False)}
         assert empty_antecedents > 50 and foreign_start > 50 and capped > 50
+
+
+class TestEncodedSynthesisAgainstFractionLoop:
+    """The synthesizer's forward pass runs on the encoding `least_model` used:
+    integers on the 1/D grid (Lukasiewicz and Goedel up to MAX_GRID_BITS),
+    Fractions past it, and normalised pairs under product.  It must find the
+    contributions and histories the Fraction loop finds, so that the
+    certificates are the same."""
+
+    def test_contributions_and_certificates_agree(self, monkeypatch):
+        rng = random.Random(28)
+        variables = ("p", "q", "r", "s", "t")
+        kinds = set()
+        cases = past_bound = foreign_start = wide_product = 0
+        while cases < 300:
+            alg = (L, P, G)[cases % 3]
+            roll = rng.random()
+            if roll < 0.5 and alg is not P:  # denominators far apart: D past the bound
+                pool = [rng.getrandbits(rng.randint(MAX_GRID_BITS // 3, MAX_GRID_BITS)) | 1
+                        for _ in range(3)]
+            elif roll < 0.75:  # at least 60 bits each
+                pool = [rng.getrandbits(64) | 1 << 60 for _ in range(3)]
+            else:
+                pool = list(range(1, 13))
+            start_pool = [13, 17, 19, 23]  # denominators no rule uses
+            theory, start = random_case(rng, alg, variables, pool, start_pool)
+            query = Implication(start, random_evaluation(rng, variables, 12))
+            trace = least_model(alg, theory, start)
+            if not trace.reached_fixpoint:
+                continue
+            cases += 1
+            _, grid = grid_side(alg, theory, start)
+            kinds.add((alg, grid is None))
+            past_bound += grid is None and alg is not P
+            foreign_start += bool(start)
+            wide_product += alg is P and min(pool) >> 60 > 0
+            contributions, history = proofs._contributions(alg, theory, trace)
+            want_contributions, want_history = reference_contributions(alg, theory, trace)
+            assert contributions == want_contributions
+            as_fractions = lambda h: {var: (indices, [Fraction(*v) for v in values])
+                                      for var, (indices, values) in h.items()}
+            assert as_fractions(history) == as_fractions(want_history)
+            proof = synthesize_proof(alg, theory, query, trace)
+            with monkeypatch.context() as patch:
+                patch.setattr(proofs, "_contributions", reference_contributions)
+                reference = synthesize_proof(alg, theory, query, trace)
+            assert proof.to_json() == reference.to_json()
+            assert check_proof(alg, theory, proof).accepted
+        assert kinds == {(alg, past) for alg in (L, G) for past in (True, False)} | {(P, True)}
+        assert past_bound > 80 and foreign_start > 150 and wide_product > 50
 
 
 class TestExhaustiveTinyScale:

@@ -328,23 +328,33 @@ def test_parser_outcomes_are_pinned():
     assert digest.hexdigest() == PINNED_DIGEST
 
 
+# Degree literals of the random texts: zero, decimal and Unicode-digit ones,
+# and two (the last) that name no degree.
+_LITERALS = ("1", "0", "0.5", "0.25", "1.0", "0.000", "1/2", "3/4", "2/8", "0/3", "5/10",
+             "\u0661/\u0662", "\uff13/\uff14", "0.\u0667", "7/5", "1/0")
+
+
+def _blank(rng: random.Random) -> str:
+    return rng.choice(("", " ", "\t", " \t "))
+
+
+def _random_set_literal(rng: random.Random) -> str:
+    """A set literal spaced with blanks and tabs, now and then with a
+    duplicate variable or a literal that names no degree."""
+    names = rng.sample("pqrst", rng.randint(0, 3))
+    if names and rng.random() < 0.05:
+        names.append(names[0])
+    weights = [10] * 14 + [1, 1]
+    entries = [f"{_blank(rng)}{name}{_blank(rng)}:{_blank(rng)}"
+               f"{rng.choices(_LITERALS, weights)[0]}" for name in names]
+    return _blank(rng) + "{" + ",".join(entries) + _blank(rng) + "}"
+
+
 def _random_theory_text(rng: random.Random) -> str:
     """A theory text mixing plain and graded rule lines, comments, tabs,
     blank lines, zero degrees, decimal and Unicode-digit literals, and now
     and then a duplicate variable or a literal that names no degree."""
-    literals = ("1", "0", "0.5", "0.25", "1.0", "0.000", "1/2", "3/4", "2/8", "0/3", "5/10",
-                "\u0661/\u0662", "\uff13/\uff14", "0.\u0667", "7/5", "1/0")
-    blank = lambda: rng.choice(("", " ", "\t", " \t "))
-
-    def set_literal():
-        names = rng.sample("pqrst", rng.randint(0, 3))
-        if names and rng.random() < 0.05:
-            names.append(names[0])
-        weights = [10] * 14 + [1, 1]
-        entries = [f"{blank()}{name}{blank()}:{blank()}{rng.choices(literals, weights)[0]}"
-                   for name in names]
-        return blank() + "{" + ",".join(entries) + blank() + "}"
-
+    literals, blank, set_literal = _LITERALS, lambda: _blank(rng), lambda: _random_set_literal(rng)
     lines = [rng.choice(("", "# a comment", "\t")) for _ in range(rng.randint(0, 2))]
     lines.append(f"{blank()}algebra {rng.choice(('lukasiewicz', 'product', 'goedel'))}")
     for _ in range(rng.randint(0, 12)):
@@ -399,3 +409,37 @@ def test_rule_line_path_reads_what_the_scanner_reads(monkeypatch):
             queries += 1
         parsed += 1
     assert parsed > 200 and errors > 100 and rule_lines > 2000 and queries > 1000
+
+
+def _implication_or_error(text: str):
+    try:
+        return parse_implication(text)
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+
+
+def test_formula_path_reads_what_the_scanner_reads(monkeypatch):
+    # the same query texts parsed with and without the one-regex formula
+    # path: equal implications with interned names, or the same error at the
+    # same position.  A trailing `#` is no comment in a query, and a graded
+    # rule is no query, so both are refused by the scanner either way
+    rng = random.Random(17)
+    tails = ("", "", "", " ", "\t", "#", "# note", " #{p:1}", " x", "=>{}")
+    texts = []
+    for _ in range(600):
+        formula = f"{_random_set_literal(rng)}{_blank(rng)}=>{_random_set_literal(rng)}"
+        if rng.random() < 0.05:
+            formula = f"({formula}) @ 1/2"
+        texts.append(formula + rng.choice(tails))
+    matched = sum(logic._FORMULA.fullmatch(text) is not None for text in texts)
+    fast = [_implication_or_error(text) for text in texts]
+    monkeypatch.setattr(logic, "_FORMULA", re.compile(r"(?!)"))
+    scanned = [_implication_or_error(text) for text in texts]
+    parsed = 0
+    for text, a, b in zip(texts, fast, scanned):
+        assert a == b, text
+        if isinstance(a, Implication):
+            assert all(sys.intern(var) is var for side in (a.antecedent, a.consequent)
+                       for var in side), text
+            parsed += 1
+    assert matched > 250 and parsed > 200 and len(texts) - parsed > 250

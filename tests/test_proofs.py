@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -220,17 +221,20 @@ class TestSynthesis:
         with pytest.raises(SynthesisError):
             synthesize_proof(L, worked_lukasiewicz, imp({"q": "1"}, {"r": "1"}), trace)
 
-    @pytest.mark.parametrize("tamper", ["raised value", "fired degree"])
+    @pytest.mark.parametrize("tamper", ["raised value", "fired degree", "value off the grid"])
     def test_refuses_a_trace_whose_firings_disagree_with_its_steps(self, worked_lukasiewicz,
                                                                   tamper):
         # from {p:1} the first round fires rule 1 at 2/5 and raises r to 3/10;
-        # a trace that states a higher value or degree there is refused
+        # a trace that states a higher value or degree there is refused, and
+        # so is 1/3, which lies off the grid of tenths although 3/10 is the
+        # tenth below it
         query = imp({"p": "1"}, {"r": "1"})
         _, trace = provability_degree(L, worked_lukasiewicz, query)
         first, *rest = trace.rounds
         assert first.raised["r"] == Fraction(3, 10) and (1, Fraction(2, 5)) in first.firings
-        if tamper == "raised value":
-            first = first._replace(raised={**first.raised, "r": Fraction(1, 2)})
+        if tamper != "fired degree":
+            value = Fraction(1, 2) if tamper == "raised value" else Fraction(1, 3)
+            first = first._replace(raised={**first.raised, "r": value})
         else:
             first = first._replace(firings=tuple(
                 (index, Fraction(1, 2) if index == 1 else c) for index, c in first.firings))
@@ -463,7 +467,47 @@ class TestMutationFuzzing:
         assert verdict.reason == BAD_MUL
 
 
+# The certificates of `{p:1/2} => {r:1}` on the worked lukasiewicz theory and
+# of `{p:1/4} => {q:1}` on the worked product theory, byte for byte: the
+# compact wire format, JSON-equal to the indented text written before it.
+WORKED_LUKASIEWICZ_CERTIFICATE = (
+    '{"theory_hash":"48c93fe4487cc36dc0218764d8dd1a5a11e16d5c3f1f2567b97275fac4b13462",'
+    '"steps":[{"ante":{"r":{"num":3,"den":5}},"cons":{"r":{"num":3,"den":5}},"rule":"axiom"},'
+    '{"rule":"hyp","hyp_index":1},{"rule":"mul","premises":[1],"scalar":{"num":7,"den":10}},'
+    '{"rule":"cut","premises":[2,0]},{"rule":"hyp","hyp_index":0},'
+    '{"rule":"mul","premises":[4],"scalar":{"num":1,"den":2}},{"rule":"cut","premises":[5,3]},'
+    '{"ante":{"p":{"num":1,"den":2}},"cons":{"p":{"num":1,"den":2}},"rule":"axiom"},'
+    '{"rule":"cut","premises":[7,6]}],'
+    '"conclusion":{"ante":{"p":{"num":1,"den":2}},"cons":{"r":{"num":3,"den":5}}}}'
+)
+WORKED_PRODUCT_CERTIFICATE = (
+    '{"theory_hash":"b67df89f8b5c729ba0bb794eec6b8a6949b1474d47446b1541007481b0c5af58",'
+    '"steps":[{"ante":{"q":{"num":2,"den":5}},"cons":{"q":{"num":2,"den":5}},"rule":"axiom"},'
+    '{"rule":"hyp","hyp_index":0},{"rule":"mul","premises":[1],"scalar":{"num":1,"den":2}},'
+    '{"rule":"cut","premises":[2,0]},'
+    '{"ante":{"p":{"num":1,"den":4}},"cons":{"p":{"num":1,"den":4}},"rule":"axiom"},'
+    '{"rule":"cut","premises":[4,3]}],'
+    '"conclusion":{"ante":{"p":{"num":1,"den":4}},"cons":{"q":{"num":2,"den":5}}}}'
+)
+
+
 class TestProofJson:
+    @pytest.mark.parametrize("worked, query, pinned", [
+        ("worked_lukasiewicz", ({"p": "1/2"}, {"r": "1"}), WORKED_LUKASIEWICZ_CERTIFICATE),
+        ("worked_product", ({"p": "1/4"}, {"q": "1"}), WORKED_PRODUCT_CERTIFICATE),
+    ])
+    def test_wire_format_is_pinned(self, request, worked, query, pinned):
+        theory = request.getfixturevalue(worked)
+        query = imp(*query)
+        _, trace = provability_degree(theory.algebra, theory, query)
+        proof = synthesize_proof(theory.algebra, theory, query, trace)
+        assert proof.dumps() == pinned
+        assert proof.dumps() == json.dumps(proof.to_json(), separators=(",", ":"))
+        for text in (pinned, json.dumps(json.loads(pinned), indent=2)):  # both layouts read
+            restored = Proof.loads(text)
+            assert restored.dumps() == pinned
+            assert check_proof(theory.algebra, theory, restored).accepted
+
     def test_round_trip(self, worked_lukasiewicz):
         query = imp({"p": "1"}, {"r": "1"})
         _, trace = provability_degree(L, worked_lukasiewicz, query)
